@@ -67,7 +67,7 @@ use rdo_bench::{
     run_grid, write_bench_record, BenchConfig, BenchError, GridSpec, Result, TrainedModel,
 };
 use rdo_core::{
-    evaluate_cycles, optimize_matrix_with_threads, tune_with_scratch, CycleEvalConfig, GroupLayout,
+    evaluate_cycles, optimize_matrix, tune_with_scratch, CycleEvalConfig, GroupLayout,
     MappedNetwork, Method, OffsetConfig, PwtConfig, PwtScratch,
 };
 use rdo_datasets::Dataset;
@@ -83,8 +83,8 @@ use rdo_rram::{
 use rdo_tensor::microkernel::gemm_nn;
 use rdo_tensor::rng::{rand_uniform, randn, seeded_rng};
 use rdo_tensor::{
-    available_threads, col2im_into, conv2d_direct_into, conv2d_lowered_into, matmul_into_serial,
-    matmul_into_threads, transposed_kernel_into, Conv2dGeometry, Scratch, Tensor,
+    available_threads, col2im_into, conv2d_direct_into, conv2d_lowered_into, matmul_into_threads,
+    transposed_kernel_into, Conv2dGeometry, Scratch, Tensor,
 };
 
 /// One GEMM shape measured by the report. The LeNet rows are the exact
@@ -146,7 +146,7 @@ fn gemm_report(reps: usize, quick: bool) -> Result<BenchRecord> {
 
         let serial_ns = best_of(reps, || {
             c.fill(0.0);
-            matmul_into_serial(a.data(), b.data(), &mut c, m, k, n);
+            matmul_into_threads(a.data(), b.data(), &mut c, m, k, n, 1);
         });
         let threaded_ns = best_of(reps, || {
             c.fill(0.0);
@@ -378,7 +378,7 @@ fn vawo_report(quick: bool) -> Result<BenchRecord> {
         let search = |t: usize| {
             best_of(reps, || {
                 black_box(
-                    optimize_matrix_with_threads(&ntw, &g2, &layout, &lut, &cfg, true, t)
+                    optimize_matrix(&ntw, &g2, &layout, &lut, &cfg, true, t)
                         .expect("consistent shapes"),
                 );
             })

@@ -45,8 +45,10 @@ pub fn extract_core_weights(net: &mut Sequential) -> Vec<Tensor> {
     net.params().into_iter().filter(|p| p.kind.is_core_weight()).map(|p| p.value.clone()).collect()
 }
 
-/// Clones every core weight *gradient* tensor, in enumeration order.
-pub fn extract_core_gradients(net: &mut Sequential) -> Vec<Tensor> {
+/// Clones every core weight *gradient* tensor, in enumeration order: the
+/// full weight gradient the PWT test oracle reduces over offset groups.
+#[cfg(test)]
+pub(crate) fn extract_core_gradients(net: &mut Sequential) -> Vec<Tensor> {
     net.params().into_iter().filter(|p| p.kind.is_core_weight()).map(|p| p.grad.clone()).collect()
 }
 

@@ -55,16 +55,11 @@ pub use config::{Method, OffsetConfig};
 pub use error::{CoreError, Result};
 pub use eval::{evaluate_cycles, CycleEvalConfig, CycleEvaluation};
 pub use gradient::{
-    core_weight_infos, extract_core_gradients, extract_core_weights, inject_core_weights,
-    mean_core_gradients, CoreWeightInfo,
+    core_weight_infos, extract_core_weights, inject_core_weights, mean_core_gradients,
+    CoreWeightInfo,
 };
 pub use mapping::{MappedLayer, MappedNetwork};
 pub use offsets::{correct_group_sum, GroupLayout, OffsetState};
-pub use pwt::{
-    tune, tune_incremental, tune_reference, tune_with_scratch, PwtConfig, PwtOptimizer, PwtReport,
-};
+pub use pwt::{tune, tune_incremental, tune_with_scratch, PwtConfig, PwtOptimizer, PwtReport};
 pub use scratch::PwtScratch;
-pub use vawo::{
-    complement_weight, optimize_matrix, optimize_matrix_reference, optimize_matrix_with_threads,
-    VawoOutput,
-};
+pub use vawo::{complement_weight, optimize_matrix, VawoOutput};

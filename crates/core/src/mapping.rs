@@ -250,7 +250,7 @@ impl MappedNetwork {
                     gi * gi
                 });
                 let out =
-                    optimize_matrix(&ntw_q, &g_sq, &layout, lut, cfg, method.uses_complement())?;
+                    optimize_matrix(&ntw_q, &g_sq, &layout, lut, cfg, method.uses_complement(), 0)?;
                 (out.ctw, out.state)
             } else {
                 (ntw_q.clone(), OffsetState::zeros(layout))
@@ -504,9 +504,7 @@ impl MappedNetwork {
             Some(t) => t.clone(),
             None => self.base.clone(),
         };
-        let weights: Result<Vec<Tensor>> =
-            self.layers.iter().map(|l| l.effective_weight(&self.cfg)).collect();
-        inject_core_weights(&mut net, &weights?)?;
+        self.inject_effective_weights(&mut net)?;
         Ok(net)
     }
 
@@ -554,18 +552,18 @@ impl MappedNetwork {
                 dst.data_mut().copy_from_slice(src.data());
             }
         }
-        self.refresh_effective_reference(net)
+        self.inject_effective_weights(net)
     }
 
-    /// The reference refresh: rebuilds every layer's full effective
-    /// weight matrix (`apply` → `map(dequantize)` → `transpose2`) and
-    /// injects the clones. Retained verbatim as the equivalence oracle
-    /// for [`MappedNetwork::refresh_effective_with`].
+    /// The full refresh: rebuilds every layer's effective weight matrix
+    /// (`apply` → `map(dequantize)` → `transpose2`) and injects the clones
+    /// into `net`. [`MappedNetwork::refresh_effective_with`] is pinned
+    /// bitwise to it.
     ///
     /// # Errors
     ///
     /// Same conditions as [`MappedNetwork::effective_network`].
-    pub fn refresh_effective_reference(&self, net: &mut Sequential) -> Result<()> {
+    pub(crate) fn inject_effective_weights(&self, net: &mut Sequential) -> Result<()> {
         let weights: Result<Vec<Tensor>> =
             self.layers.iter().map(|l| l.effective_weight(&self.cfg)).collect();
         inject_core_weights(net, &weights?)
@@ -576,7 +574,8 @@ impl MappedNetwork {
     /// into the evaluation network's weight tensors, reading the
     /// transposed-CRW cache held by `scratch` — no allocation, no
     /// transpose, no full-matrix rebuild, and bitwise identical to
-    /// [`MappedNetwork::refresh_effective_reference`] (the per-element
+    /// rebuilding every effective weight matrix as
+    /// [`MappedNetwork::effective_network`] does (the per-element
     /// operation chain is unchanged; see
     /// [`crate::OffsetState::refresh_network_weights`]).
     ///

@@ -190,11 +190,13 @@ impl OffsetState {
     /// same integer-weight domain as [`OffsetState::apply`]'s output) to
     /// per-group offset gradients: `dL/db_g = ±Σ_{i∈g} dL/dNRWᵢ`, negative
     /// for complemented groups (Eq. 8 extended with the complement sign).
+    /// The test oracle for [`OffsetState::offset_gradient_into`].
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] on a shape mismatch.
-    pub fn reduce_gradient(&self, grad_nrw: &Tensor) -> Result<Vec<f32>> {
+    #[cfg(test)]
+    pub(crate) fn reduce_gradient(&self, grad_nrw: &Tensor) -> Result<Vec<f32>> {
         if grad_nrw.dims() != [self.layout.fan_in, self.layout.fan_out] {
             return Err(CoreError::InvalidConfig(format!(
                 "gradient shape {:?} does not match layout",
@@ -331,8 +333,9 @@ impl OffsetState {
     /// [`GroupLayout::row_bounds`] (group-major, like the offsets). `Δ` is
     /// the chain rule into the integer NRW domain, and the sign is
     /// negative for complemented groups, whose weights read
-    /// `maxw − (CRW + b)`. Equals [`OffsetState::reduce_gradient`] of the
-    /// `Δ`-scaled weight gradient up to summation order.
+    /// `maxw − (CRW + b)`. Equals the reduction of the `Δ`-scaled weight
+    /// gradient over the same groups up to summation order (pinned against
+    /// the test oracle `reduce_gradient`).
     ///
     /// # Errors
     ///
@@ -417,6 +420,7 @@ pub fn correct_group_sum(z: i64, sum_x: i64, b: i32, complemented: bool, max_wei
 mod tests {
     use super::*;
     use rdo_rram::CellKind;
+    use rdo_tensor::rng::{seeded_rng, Rng};
 
     fn cfg(m: usize) -> OffsetConfig {
         OffsetConfig::paper(CellKind::Slc, 0.5, m).unwrap()
@@ -652,5 +656,43 @@ mod tests {
         assert!(st
             .refresh_network_weights(&crw_t, Some(&bad_last), 0.1, 0.0, 255.0, 1, &mut out)
             .is_err());
+    }
+
+    /// An SLC configuration with m ∈ {16, 32, 64, 128} and σ in [0.1, 1).
+    fn random_cfg(rng: &mut Rng) -> OffsetConfig {
+        let (m, sigma) = ([16usize, 32, 64, 128][rng.gen_range(0..4)], rng.gen_range(0.1f64..1.0));
+        OffsetConfig::paper(CellKind::Slc, sigma, m).expect("valid granularity")
+    }
+
+    /// apply() then reduce_gradient() are consistent: perturbing one
+    /// offset by ε changes the NRW sum by ±ε·group_size, matching the
+    /// reduction of an all-ones gradient.
+    #[test]
+    fn offset_gradient_consistency() {
+        for case in 0..48 {
+            let mut rng = seeded_rng(case);
+            let (cfg, fan_in) = (random_cfg(&mut rng), rng.gen_range(1usize..200));
+            let (comp, group_pick) = (rng.gen_range(0..2) == 1, rng.gen_range(0usize..1000));
+            let layout = GroupLayout::new(fan_in, 2, &cfg).unwrap();
+            let g = group_pick % layout.group_count();
+            let n_groups = layout.group_count();
+            let mut state =
+                OffsetState::from_parts(layout.clone(), vec![0.0; n_groups], vec![comp; n_groups])
+                    .unwrap();
+            let crw = Tensor::from_fn(&[fan_in, 2], |i| (i % 97) as f32);
+            let base = state.apply(&crw, 255.0).unwrap();
+            state.offsets_mut()[g] += 1.0;
+            let bumped = state.apply(&crw, 255.0).unwrap();
+            let delta_sum: f32 = bumped.data().iter().zip(base.data()).map(|(a, b)| a - b).sum();
+
+            let ones = Tensor::ones(&[fan_in, 2]);
+            let reduced = state.reduce_gradient(&ones).unwrap();
+            // reduce_gradient[g] = ±group_size; the NRW sum moved by the same
+            assert!(
+                (delta_sum - reduced[g]).abs() < 1e-3,
+                "case {case}: sum moved {delta_sum} but gradient says {}",
+                reduced[g]
+            );
+        }
     }
 }

@@ -26,11 +26,10 @@
 //!
 //! [`tune`] also refreshes the evaluation network in place from a
 //! transposed-CRW cache and keeps its buffers in a [`PwtScratch`] arena.
-//! [`tune_reference`] retains the original loop as the oracle: a full
-//! backward pass, the weight gradient reduced over offset groups
-//! ([`crate::OffsetState::reduce_gradient`]) and a full-rebuild refresh.
-//! The two sum the offset gradient in different orders, so they agree to
-//! rounding, not bit for bit.
+//! The unit tests keep the original loop, `tune_reference`, as the test
+//! oracle: a full backward pass, the weight gradient reduced over offset
+//! groups and a full-rebuild refresh. The two sum the offset gradient in
+//! different orders, so their losses agree to rounding, not bit for bit.
 
 use rdo_nn::{
     batch_gather_buf, train::recalibrate_batchnorm, Layer, RowGroups, Sequential,
@@ -40,7 +39,6 @@ use rdo_tensor::rng::{permutation, seeded_rng};
 use rdo_tensor::Tensor;
 
 use crate::error::{CoreError, Result};
-use crate::gradient::extract_core_gradients;
 use crate::mapping::{MappedLayer, MappedNetwork};
 use crate::scratch::PwtScratch;
 
@@ -73,8 +71,6 @@ pub struct PwtConfig {
     pub lr_decay: f32,
     /// RNG seed for shuffling.
     pub seed: u64,
-    /// Print one line per epoch to stderr.
-    pub verbose: bool,
 }
 
 impl Default for PwtConfig {
@@ -85,7 +81,6 @@ impl Default for PwtConfig {
             optimizer: PwtOptimizer::Adam { lr: 1.0 },
             lr_decay: 0.75,
             seed: 0,
-            verbose: false,
         }
     }
 }
@@ -373,7 +368,7 @@ fn tune_impl(
     let mut adam = AdamState::for_groups(mapped);
     let mut lr_scale = 1.0f32;
     let mut ybuf: Vec<usize> = Vec::new();
-    for epoch in 0..cfg.epochs {
+    for _ in 0..cfg.epochs {
         let order = permutation(n, &mut rng);
         let mut epoch_loss = 0.0f32;
         let mut batches = 0usize;
@@ -419,9 +414,6 @@ fn tune_impl(
             xbuf = x.into_vec(); // hand the batch storage back for reuse
         }
         let mean = epoch_loss / batches.max(1) as f32;
-        if cfg.verbose {
-            eprintln!("pwt epoch {:>2}: loss {:.4}", epoch + 1, mean);
-        }
         report.epoch_losses.push(mean);
         lr_scale *= cfg.lr_decay;
         let current = safeguard.score(mapped, &mut net, images, cfg.batch_size, |m, net| {
@@ -509,127 +501,126 @@ fn offset_gradients(
     })
 }
 
-/// The original full-rebuild tuning loop, retained verbatim: per batch it
-/// runs a full backward pass, clones every core weight gradient, reduces
-/// its transposed `Δ`-scaled copy over offset groups, and rebuilds each
-/// layer's entire effective weight matrix. Kept as the oracle for
-/// [`tune`], which sums the same offset gradients in another order, and as
-/// the baseline the `pwt` benchmarks measure against.
-///
-/// # Errors
-///
-/// Same conditions as [`tune`].
-pub fn tune_reference(
-    mapped: &mut MappedNetwork,
-    images: &Tensor,
-    labels: &[usize],
-    cfg: &PwtConfig,
-) -> Result<PwtReport> {
-    let _span = rdo_obs::span("core.pwt");
-    let (n, mut net) = validate_and_prepare(mapped, images, labels, cfg, false)?;
-    let loss_fn = SoftmaxCrossEntropy::new();
-    let mut rng = seeded_rng(cfg.seed);
-    let mut report = PwtReport::default();
-
-    // safeguard: remember the best offsets seen, starting from the
-    // mean-matching initialization — PWT must never end up worse
-    let snapshot = |mapped: &MappedNetwork| -> Vec<Vec<f32>> {
-        mapped.layers().iter().map(|l| l.state.offsets().to_vec()).collect()
-    };
-    let mut safeguard = Safeguard::new(labels);
-    let mut best_loss = safeguard.score(mapped, &mut net, images, cfg.batch_size, |m, net| {
-        m.refresh_effective_reference(net)
-    })?;
-    let mut best_offsets = snapshot(mapped);
-    report.initial_loss = best_loss;
-
-    let mut adam = AdamState::for_groups(mapped);
-    let mut lr_scale = 1.0f32;
-
-    let mut xbuf: Vec<f32> = Vec::new();
-    let mut ybuf: Vec<usize> = Vec::new();
-    for epoch in 0..cfg.epochs {
-        let order = permutation(n, &mut rng);
-        let mut epoch_loss = 0.0f32;
-        let mut batches = 0usize;
-        for chunk in order.chunks(cfg.batch_size) {
-            let x = batch_gather_buf(images, chunk, &mut xbuf)?;
-            ybuf.clear();
-            ybuf.extend(chunk.iter().map(|&i| labels[i]));
-            // eval-mode forward: batch-norm statistics stay frozen, but
-            // every layer still caches what backward needs
-            let logits = net.forward(&x, false)?;
-            let (l, grad) = loss_fn.compute(&logits, &ybuf)?;
-            net.zero_grad();
-            net.backward(&grad)?;
-            let core_grads = extract_core_gradients(&mut net);
-
-            adam.t += 1;
-            let mut group_base = 0usize;
-            for (layer, g_w) in mapped.layers_mut().iter_mut().zip(&core_grads) {
-                // ∂L/∂NRW = Δ · ∂L/∂W, in crossbar orientation
-                let delta = layer.quant.delta;
-                let g_nrw = g_w.transpose2()?.scale(delta);
-                let db = layer.state.reduce_gradient(&g_nrw)?;
-                apply_update(
-                    cfg.optimizer,
-                    lr_scale,
-                    &mut adam,
-                    group_base,
-                    layer.state.offsets_mut(),
-                    &db,
-                );
-                group_base += layer.state.layout().group_count();
-            }
-            mapped.refresh_effective_reference(&mut net)?;
-            epoch_loss += l;
-            batches += 1;
-            xbuf = x.into_vec(); // hand the batch storage back for reuse
-        }
-        let mean = epoch_loss / batches.max(1) as f32;
-        if cfg.verbose {
-            eprintln!("pwt epoch {:>2}: loss {:.4}", epoch + 1, mean);
-        }
-        report.epoch_losses.push(mean);
-        lr_scale *= cfg.lr_decay;
-        let current = safeguard.score(mapped, &mut net, images, cfg.batch_size, |m, net| {
-            m.refresh_effective_reference(net)
-        })?;
-        if current < best_loss {
-            best_loss = current;
-            best_offsets = snapshot(mapped);
-        }
-    }
-
-    // restore the best offsets observed
-    for (layer, best) in mapped.layers_mut().iter_mut().zip(&best_offsets) {
-        layer.state.offsets_mut().copy_from_slice(best);
-    }
-    report.best_loss = best_loss;
-
-    // offsets live in 8-bit registers: snap to the grid
-    let arch = *mapped.config();
-    for layer in mapped.layers_mut() {
-        layer.state.quantize(&arch);
-    }
-    // hand the tuned network (with recalibrated batch-norm statistics)
-    // back for evaluation; its weights are refreshed on clone
-    mapped.refresh_effective_reference(&mut net)?;
-    net.clear_cache();
-    mapped.set_tuned_network(net);
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{Method, OffsetConfig};
+    use crate::eval::{evaluate_cycles, CycleEvalConfig};
+    use crate::gradient::extract_core_gradients;
     use crate::mapping::MappedNetwork;
     use crate::offsets::OffsetState;
-    use crate::testutil::trained_problem_4class as trained_problem;
+    use crate::testutil::{trained_problem_2class, trained_problem_4class as trained_problem};
     use rdo_nn::{evaluate, Conv2d, Flatten, Linear, Relu};
     use rdo_rram::{CellKind, DeviceLut, VariationModel};
     use rdo_tensor::rng::{rand_uniform, seeded_rng};
+
+    /// The original full-rebuild tuning loop, kept as the test oracle for
+    /// [`tune`], which sums the same offset gradients in another order: per
+    /// batch it runs a full backward pass, clones every core weight
+    /// gradient, reduces its transposed `Δ`-scaled copy over offset groups,
+    /// and rebuilds each layer's entire effective weight matrix.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`tune`].
+    fn tune_reference(
+        mapped: &mut MappedNetwork,
+        images: &Tensor,
+        labels: &[usize],
+        cfg: &PwtConfig,
+    ) -> Result<PwtReport> {
+        let _span = rdo_obs::span("core.pwt");
+        let (n, mut net) = validate_and_prepare(mapped, images, labels, cfg, false)?;
+        let loss_fn = SoftmaxCrossEntropy::new();
+        let mut rng = seeded_rng(cfg.seed);
+        let mut report = PwtReport::default();
+
+        // safeguard: remember the best offsets seen, starting from the
+        // mean-matching initialization — PWT must never end up worse
+        let snapshot = |mapped: &MappedNetwork| -> Vec<Vec<f32>> {
+            mapped.layers().iter().map(|l| l.state.offsets().to_vec()).collect()
+        };
+        let mut safeguard = Safeguard::new(labels);
+        let mut best_loss =
+            safeguard.score(mapped, &mut net, images, cfg.batch_size, |m, net| {
+                m.inject_effective_weights(net)
+            })?;
+        let mut best_offsets = snapshot(mapped);
+        report.initial_loss = best_loss;
+
+        let mut adam = AdamState::for_groups(mapped);
+        let mut lr_scale = 1.0f32;
+
+        let mut xbuf: Vec<f32> = Vec::new();
+        let mut ybuf: Vec<usize> = Vec::new();
+        for _ in 0..cfg.epochs {
+            let order = permutation(n, &mut rng);
+            let mut epoch_loss = 0.0f32;
+            let mut batches = 0usize;
+            for chunk in order.chunks(cfg.batch_size) {
+                let x = batch_gather_buf(images, chunk, &mut xbuf)?;
+                ybuf.clear();
+                ybuf.extend(chunk.iter().map(|&i| labels[i]));
+                // eval-mode forward: batch-norm statistics stay frozen, but
+                // every layer still caches what backward needs
+                let logits = net.forward(&x, false)?;
+                let (l, grad) = loss_fn.compute(&logits, &ybuf)?;
+                net.zero_grad();
+                net.backward(&grad)?;
+                let core_grads = extract_core_gradients(&mut net);
+
+                adam.t += 1;
+                let mut group_base = 0usize;
+                for (layer, g_w) in mapped.layers_mut().iter_mut().zip(&core_grads) {
+                    // ∂L/∂NRW = Δ · ∂L/∂W, in crossbar orientation
+                    let delta = layer.quant.delta;
+                    let g_nrw = g_w.transpose2()?.scale(delta);
+                    let db = layer.state.reduce_gradient(&g_nrw)?;
+                    apply_update(
+                        cfg.optimizer,
+                        lr_scale,
+                        &mut adam,
+                        group_base,
+                        layer.state.offsets_mut(),
+                        &db,
+                    );
+                    group_base += layer.state.layout().group_count();
+                }
+                mapped.inject_effective_weights(&mut net)?;
+                epoch_loss += l;
+                batches += 1;
+                xbuf = x.into_vec(); // hand the batch storage back for reuse
+            }
+            let mean = epoch_loss / batches.max(1) as f32;
+            report.epoch_losses.push(mean);
+            lr_scale *= cfg.lr_decay;
+            let current = safeguard.score(mapped, &mut net, images, cfg.batch_size, |m, net| {
+                m.inject_effective_weights(net)
+            })?;
+            if current < best_loss {
+                best_loss = current;
+                best_offsets = snapshot(mapped);
+            }
+        }
+
+        // restore the best offsets observed
+        for (layer, best) in mapped.layers_mut().iter_mut().zip(&best_offsets) {
+            layer.state.offsets_mut().copy_from_slice(best);
+        }
+        report.best_loss = best_loss;
+
+        // offsets live in 8-bit registers: snap to the grid
+        let arch = *mapped.config();
+        for layer in mapped.layers_mut() {
+            layer.state.quantize(&arch);
+        }
+        // hand the tuned network (with recalibrated batch-norm statistics)
+        // back for evaluation; its weights are refreshed on clone
+        mapped.inject_effective_weights(&mut net)?;
+        net.clear_cache();
+        mapped.set_tuned_network(net);
+        Ok(report)
+    }
 
     #[test]
     fn pwt_recovers_accuracy_under_variation() {
@@ -830,9 +821,13 @@ mod tests {
     type Tuner = fn(&mut MappedNetwork, &Tensor, &[usize], &PwtConfig) -> Result<PwtReport>;
     const TUNERS: [Tuner; 2] = [tune, tune_reference];
 
-    fn programmed_problem(sigma: f64, seed: u64) -> (MappedNetwork, Tensor, Vec<usize>) {
+    fn programmed_problem(
+        kind: CellKind,
+        sigma: f64,
+        seed: u64,
+    ) -> (MappedNetwork, Tensor, Vec<usize>) {
         let (net, x, labels) = trained_problem();
-        let cfg = OffsetConfig::paper(CellKind::Slc, sigma, 16).unwrap();
+        let cfg = OffsetConfig::paper(kind, sigma, 16).unwrap();
         let lut = DeviceLut::analytic(&VariationModel::per_weight(sigma), &cfg.codec).unwrap();
         let mut mapped = MappedNetwork::map(&net, Method::Pwt, &cfg, &lut, None).unwrap();
         mapped.program(&mut seeded_rng(seed)).unwrap();
@@ -864,7 +859,7 @@ mod tests {
     #[test]
     fn best_loss_is_the_subset_loss_of_the_shipped_offsets() {
         for tuner in TUNERS {
-            let (mut mapped, x, labels) = programmed_problem(0.5, 7);
+            let (mut mapped, x, labels) = programmed_problem(CellKind::Slc, 0.5, 7);
             assert!(labels.len() > SAFEGUARD_ROWS, "the subset must be a strict subset");
             let cfg = PwtConfig { epochs: 3, ..Default::default() };
             let report = tuner(&mut mapped, &x, &labels, &cfg).unwrap();
@@ -885,7 +880,7 @@ mod tests {
     #[test]
     fn diverging_run_keeps_the_snapped_start() {
         for tuner in TUNERS {
-            let (mut mapped, x, labels) = programmed_problem(0.5, 7);
+            let (mut mapped, x, labels) = programmed_problem(CellKind::Slc, 0.5, 7);
             let mut start = mapped.clone();
             start.init_offsets_mean_matching().unwrap();
             let arch = *start.config();
@@ -933,5 +928,120 @@ mod tests {
         let lut = DeviceLut::analytic(&VariationModel::per_weight(0.3), &cfg.codec).unwrap();
         let mut mapped = MappedNetwork::map(&net, Method::Pwt, &cfg, &lut, None).unwrap();
         assert!(tune(&mut mapped, &x, &labels, &PwtConfig::default()).is_err());
+    }
+
+    #[test]
+    fn tune_matches_reference_bitwise() {
+        // σ=1.0 drives many offsets into the ±register clamp, exercising the
+        // full-recompute fallback of the incremental refresh
+        for (kind, sigma) in [
+            (CellKind::Slc, 0.5),
+            (CellKind::Slc, 1.0),
+            (CellKind::Mlc2, 0.5),
+            (CellKind::Mlc2, 1.0),
+        ] {
+            for optimizer in [PwtOptimizer::Adam { lr: 1.0 }, PwtOptimizer::Sgd { lr: 0.05 }] {
+                let cfg = PwtConfig { epochs: 3, seed: 11, optimizer, ..Default::default() };
+
+                let (mut fast, x, labels) = programmed_problem(kind, sigma, 7);
+                let fast_report = tune(&mut fast, &x, &labels, &cfg).unwrap();
+
+                let (mut reference, _, _) = programmed_problem(kind, sigma, 7);
+                let ref_report = tune_reference(&mut reference, &x, &labels, &cfg).unwrap();
+
+                let tag = format!("{kind:?} sigma={sigma} {optimizer:?}");
+                // the two paths round the offset gradients differently, so
+                // losses agree to a relative 1e-5 (seen: 1 ULP), not bitwise
+                let close = |a: f32, b: f32| (a - b).abs() <= 1e-5 * b.abs();
+                assert!(
+                    close(fast_report.initial_loss, ref_report.initial_loss),
+                    "{tag}: initial loss diverged"
+                );
+                assert!(
+                    close(fast_report.best_loss, ref_report.best_loss),
+                    "{tag}: best loss diverged"
+                );
+                assert_eq!(fast_report.epoch_losses.len(), ref_report.epoch_losses.len());
+                for (f, r) in fast_report.epoch_losses.iter().zip(&ref_report.epoch_losses) {
+                    assert!(close(*f, *r), "{tag}: epoch losses diverged: {f} vs {r}");
+                }
+                assert_eq!(
+                    offsets_bits(&fast),
+                    offsets_bits(&reference),
+                    "{tag}: offsets diverged"
+                );
+
+                // the evaluation networks the two paths hand back agree too
+                let mut fast_net = fast.effective_network().unwrap();
+                let mut ref_net = reference.effective_network().unwrap();
+                let fa = evaluate(&mut fast_net, &x, &labels, 64).unwrap();
+                let ra = evaluate(&mut ref_net, &x, &labels, 64).unwrap();
+                assert_eq!(fa.to_bits(), ra.to_bits(), "{tag}: accuracy diverged");
+            }
+        }
+    }
+
+    /// Pins the §IV protocol output: the
+    /// `per_cycle` accuracies of `evaluate_cycles` must equal a hand-rolled
+    /// loop that programs with `seed + c`, runs the *reference* tuner with
+    /// `seed + 1000 + c` and evaluates — i.e. the fast path changes nothing
+    /// observable, cell kind and clamp regime notwithstanding.
+    #[test]
+    fn protocol_accuracies_pinned_to_reference_tuner() {
+        for (kind, sigma) in [
+            (CellKind::Slc, 0.5),
+            (CellKind::Mlc2, 0.5),
+            (CellKind::Slc, 1.0),
+            (CellKind::Mlc2, 1.0),
+        ] {
+            let (net, x, labels) = trained_problem_2class();
+            let cfg = OffsetConfig::paper(kind, sigma, 16).unwrap();
+            let lut = DeviceLut::analytic(&VariationModel::per_weight(sigma), &cfg.codec).unwrap();
+            let eval_cfg = CycleEvalConfig {
+                cycles: 3,
+                seed: 21,
+                pwt: PwtConfig { epochs: 2, ..Default::default() },
+                batch_size: 64,
+                threads: 1,
+            };
+
+            let mut mapped = MappedNetwork::map(&net, Method::Pwt, &cfg, &lut, None).unwrap();
+            let engine =
+                evaluate_cycles(&mut mapped, Some((&x, &labels)), &x, &labels, &eval_cfg).unwrap();
+
+            let mut manual = Vec::new();
+            let mut fresh = MappedNetwork::map(&net, Method::Pwt, &cfg, &lut, None).unwrap();
+            for c in 0..eval_cfg.cycles {
+                fresh.program(&mut seeded_rng(eval_cfg.seed.wrapping_add(c as u64))).unwrap();
+                let mut pwt_cfg = eval_cfg.pwt;
+                pwt_cfg.seed = eval_cfg.seed.wrapping_add(1000 + c as u64);
+                tune_reference(&mut fresh, &x, &labels, &pwt_cfg).unwrap();
+                let mut net = fresh.effective_network().unwrap();
+                manual.push(evaluate(&mut net, &x, &labels, eval_cfg.batch_size).unwrap());
+            }
+
+            let engine_bits: Vec<u32> = engine.per_cycle.iter().map(|a| a.to_bits()).collect();
+            let manual_bits: Vec<u32> = manual.iter().map(|a| a.to_bits()).collect();
+            assert_eq!(engine_bits, manual_bits, "{kind:?} sigma={sigma}: per_cycle diverged");
+        }
+    }
+
+    /// Property form of the refresh/reduction equivalence: eight seeded
+    /// cases, case `i` drawing its program and shuffle seeds from
+    /// `seeded_rng(i)`. The seed spaces are tiny because every case runs a
+    /// full mapping + programming pipeline; the dense fixed-shape sweeps live
+    /// in the `offsets` module's tests.
+    #[test]
+    fn tune_equivalence_holds_for_sampled_seeds() {
+        for case in 0..8 {
+            let mut rng = seeded_rng(case);
+            let (program_seed, shuffle_seed) = (rng.gen_range(0u64..32), rng.gen_range(0u64..32));
+            let cfg = PwtConfig { epochs: 1, seed: shuffle_seed, ..Default::default() };
+            let (mut fast, x, labels) = programmed_problem(CellKind::Slc, 0.7, program_seed);
+            tune(&mut fast, &x, &labels, &cfg).unwrap();
+            let (mut reference, _, _) = programmed_problem(CellKind::Slc, 0.7, program_seed);
+            tune_reference(&mut reference, &x, &labels, &cfg).unwrap();
+            assert_eq!(offsets_bits(&fast), offsets_bits(&reference), "case {case}");
+        }
     }
 }

@@ -93,8 +93,8 @@ impl TargetTable {
     }
 }
 
-/// Shared argument validation for the three `optimize_matrix*` entry
-/// points.
+/// Argument validation shared by [`optimize_matrix`] and its test
+/// oracle.
 fn validate_inputs(
     ntw_q: &Tensor,
     grads_sq: &Tensor,
@@ -124,35 +124,25 @@ fn validate_inputs(
 }
 
 /// Runs VAWO (optionally with the weight complement) over one mapped
-/// matrix.
+/// matrix on up to `threads` worker threads (`0` defers to
+/// `RDO_THREADS`/available parallelism, matching the engine-wide
+/// convention).
 ///
 /// * `ntw_q` — integer network target weights, `(fan_in, fan_out)`.
 /// * `grads_sq` — squared mean loss gradients, same shape. Only relative
 ///   magnitudes within a group matter; all-zero groups fall back to an
 ///   unweighted objective.
 ///
+/// Output columns are independent, the per-group search is identical
+/// code whichever worker owns the column, and the total objective is
+/// reduced serially in the fixed (row-range, column) order — so the
+/// result is **bitwise identical for every thread count**.
+///
 /// # Errors
 ///
 /// Returns [`CoreError::InvalidConfig`] on shape mismatches or if the LUT
 /// size disagrees with the codec in `cfg`.
 pub fn optimize_matrix(
-    ntw_q: &Tensor,
-    grads_sq: &Tensor,
-    layout: &GroupLayout,
-    lut: &DeviceLut,
-    cfg: &OffsetConfig,
-    use_complement: bool,
-) -> Result<VawoOutput> {
-    optimize_matrix_with_threads(ntw_q, grads_sq, layout, lut, cfg, use_complement, 0)
-}
-
-/// [`optimize_matrix`] with an explicit worker-thread count (`0` defers
-/// to `RDO_THREADS`/available parallelism, matching the engine-wide
-/// convention). Output columns are independent, the per-group search is
-/// identical code whichever worker owns the column, and the total
-/// objective is reduced serially in the fixed (row-range, column) order
-/// — so the result is **bitwise identical for every thread count**.
-pub fn optimize_matrix_with_threads(
     ntw_q: &Tensor,
     grads_sq: &Tensor,
     layout: &GroupLayout,
@@ -246,82 +236,6 @@ pub fn optimize_matrix_with_threads(
     Ok(VawoOutput { ctw, state, objective: total_objective })
 }
 
-/// The naive VAWO search kept as the bitwise oracle for the table-driven
-/// fast path: every `(weight, offset, formulation)` triple probes the
-/// device LUT directly, with no precomputation beyond the LUT itself.
-/// Property tests pin `optimize_matrix` to this function bit for bit;
-/// `perf_report` (`results/BENCH_vawo.json`) quantifies the speedup.
-pub fn optimize_matrix_reference(
-    ntw_q: &Tensor,
-    grads_sq: &Tensor,
-    layout: &GroupLayout,
-    lut: &DeviceLut,
-    cfg: &OffsetConfig,
-    use_complement: bool,
-) -> Result<VawoOutput> {
-    validate_inputs(ntw_q, grads_sq, layout, lut, cfg)?;
-    let (fan_in, fan_out) = (layout.fan_in(), layout.fan_out());
-    let maxw = cfg.codec.max_weight() as i64;
-    let (b_min, b_max) = (cfg.offset_min() as i64, cfg.offset_max() as i64);
-
-    let mut ctw = Tensor::zeros(&[fan_in, fan_out]);
-    let n_groups = layout.group_count();
-    let mut offsets = vec![0.0f32; n_groups];
-    let mut complemented = vec![false; n_groups];
-    let mut total_objective = 0.0f64;
-
-    // scratch per group
-    let mut w_tilde = Vec::new();
-    let mut g2 = Vec::new();
-
-    for (ri, &(r0, r1)) in layout.row_bounds().iter().enumerate() {
-        for c in 0..fan_out {
-            let gi = layout.group_index(ri, c);
-            // two candidate formulations: original and complemented
-            let mut best: Option<(f64, i64, bool)> = None;
-            let forms: &[bool] = if use_complement { &[false, true] } else { &[false] };
-            for &comp in forms {
-                w_tilde.clear();
-                g2.clear();
-                for r in r0..r1 {
-                    let w = ntw_q.data()[r * fan_out + c].round() as i64;
-                    w_tilde.push(if comp { maxw - w } else { w });
-                    g2.push((grads_sq.data()[r * fan_out + c] as f64).max(1e-20));
-                }
-                for b in b_min..=b_max {
-                    let mut obj = 0.0f64;
-                    for (w, g) in w_tilde.iter().zip(&g2) {
-                        let t = (w - b) as f64;
-                        let v = lut.inverse_mean(t);
-                        let mut term = lut.var(v);
-                        if cfg.vawo_bias_term {
-                            let bias = lut.mean(v) - t;
-                            term += bias * bias;
-                        }
-                        obj += g * term;
-                    }
-                    if best.is_none_or(|(bo, _, _)| obj < bo) {
-                        best = Some((obj, b, comp));
-                    }
-                }
-            }
-            let (obj, b, comp) = best.expect("offset range is never empty");
-            offsets[gi] = b as f32;
-            complemented[gi] = comp;
-            total_objective += obj;
-            // materialize the CTWs for the winning formulation
-            for r in r0..r1 {
-                let w = ntw_q.data()[r * fan_out + c].round() as i64;
-                let wt = if comp { maxw - w } else { w };
-                ctw.data_mut()[r * fan_out + c] = lut.inverse_mean((wt - b) as f64) as f32;
-            }
-        }
-    }
-
-    let state = OffsetState::from_parts(layout.clone(), offsets, complemented)?;
-    Ok(VawoOutput { ctw, state, objective: total_objective })
-}
-
 /// The complement of an integer weight at the given bit width:
 /// `2^bits − 1 − w` (§III-C).
 ///
@@ -338,6 +252,82 @@ pub fn complement_weight(w: u32, bits: u32) -> u32 {
 mod tests {
     use super::*;
     use rdo_rram::{CellKind, VariationModel};
+    use rdo_tensor::rng::seeded_rng;
+
+    /// The naive VAWO search, kept as the bitwise test oracle for the
+    /// table-driven [`optimize_matrix`]: every `(weight, offset,
+    /// formulation)` triple probes the device LUT directly, with no
+    /// precomputation beyond the LUT itself.
+    fn optimize_matrix_reference(
+        ntw_q: &Tensor,
+        grads_sq: &Tensor,
+        layout: &GroupLayout,
+        lut: &DeviceLut,
+        cfg: &OffsetConfig,
+        use_complement: bool,
+    ) -> Result<VawoOutput> {
+        validate_inputs(ntw_q, grads_sq, layout, lut, cfg)?;
+        let (fan_in, fan_out) = (layout.fan_in(), layout.fan_out());
+        let maxw = cfg.codec.max_weight() as i64;
+        let (b_min, b_max) = (cfg.offset_min() as i64, cfg.offset_max() as i64);
+
+        let mut ctw = Tensor::zeros(&[fan_in, fan_out]);
+        let n_groups = layout.group_count();
+        let mut offsets = vec![0.0f32; n_groups];
+        let mut complemented = vec![false; n_groups];
+        let mut total_objective = 0.0f64;
+
+        // scratch per group
+        let mut w_tilde = Vec::new();
+        let mut g2 = Vec::new();
+
+        for (ri, &(r0, r1)) in layout.row_bounds().iter().enumerate() {
+            for c in 0..fan_out {
+                let gi = layout.group_index(ri, c);
+                // two candidate formulations: original and complemented
+                let mut best: Option<(f64, i64, bool)> = None;
+                let forms: &[bool] = if use_complement { &[false, true] } else { &[false] };
+                for &comp in forms {
+                    w_tilde.clear();
+                    g2.clear();
+                    for r in r0..r1 {
+                        let w = ntw_q.data()[r * fan_out + c].round() as i64;
+                        w_tilde.push(if comp { maxw - w } else { w });
+                        g2.push((grads_sq.data()[r * fan_out + c] as f64).max(1e-20));
+                    }
+                    for b in b_min..=b_max {
+                        let mut obj = 0.0f64;
+                        for (w, g) in w_tilde.iter().zip(&g2) {
+                            let t = (w - b) as f64;
+                            let v = lut.inverse_mean(t);
+                            let mut term = lut.var(v);
+                            if cfg.vawo_bias_term {
+                                let bias = lut.mean(v) - t;
+                                term += bias * bias;
+                            }
+                            obj += g * term;
+                        }
+                        if best.is_none_or(|(bo, _, _)| obj < bo) {
+                            best = Some((obj, b, comp));
+                        }
+                    }
+                }
+                let (obj, b, comp) = best.expect("offset range is never empty");
+                offsets[gi] = b as f32;
+                complemented[gi] = comp;
+                total_objective += obj;
+                // materialize the CTWs for the winning formulation
+                for r in r0..r1 {
+                    let w = ntw_q.data()[r * fan_out + c].round() as i64;
+                    let wt = if comp { maxw - w } else { w };
+                    ctw.data_mut()[r * fan_out + c] = lut.inverse_mean((wt - b) as f64) as f32;
+                }
+            }
+        }
+
+        let state = OffsetState::from_parts(layout.clone(), offsets, complemented)?;
+        Ok(VawoOutput { ctw, state, objective: total_objective })
+    }
 
     fn setup(m: usize, sigma: f64) -> (OffsetConfig, DeviceLut) {
         let cfg = OffsetConfig::paper(CellKind::Slc, sigma, m).unwrap();
@@ -358,7 +348,7 @@ mod tests {
         let layout = GroupLayout::new(rows, cols, &cfg).unwrap();
         let ntw_q = Tensor::from_vec(ntw, &[rows, cols]).unwrap();
         let g2 = Tensor::from_vec(grads, &[rows, cols]).unwrap();
-        optimize_matrix(&ntw_q, &g2, &layout, &lut, &cfg, complement).unwrap()
+        optimize_matrix(&ntw_q, &g2, &layout, &lut, &cfg, complement, 0).unwrap()
     }
 
     #[test]
@@ -480,10 +470,10 @@ mod tests {
         let layout = GroupLayout::new(16, 1, &cfg).unwrap();
         let ntw = Tensor::from_fn(&[16, 1], |i| (i * 16) as f32);
         let g2 = Tensor::ones(&[16, 1]);
-        let with = optimize_matrix(&ntw, &g2, &layout, &lut, &cfg, false).unwrap();
+        let with = optimize_matrix(&ntw, &g2, &layout, &lut, &cfg, false, 0).unwrap();
         let mut cfg_no = cfg;
         cfg_no.vawo_bias_term = false;
-        let without = optimize_matrix(&ntw, &g2, &layout, &lut, &cfg_no, false).unwrap();
+        let without = optimize_matrix(&ntw, &g2, &layout, &lut, &cfg_no, false, 0).unwrap();
         // evaluate both under the full objective
         let true_obj = |o: &VawoOutput| -> f64 {
             let b = o.state.offset(0) as f64;
@@ -506,7 +496,7 @@ mod tests {
         let layout = GroupLayout::new(16, 2, &cfg).unwrap();
         let ntw = Tensor::zeros(&[16, 1]);
         let g2 = Tensor::zeros(&[16, 1]);
-        assert!(optimize_matrix(&ntw, &g2, &layout, &lut, &cfg, false).is_err());
+        assert!(optimize_matrix(&ntw, &g2, &layout, &lut, &cfg, false, 0).is_err());
         assert!(optimize_matrix_reference(&ntw, &g2, &layout, &lut, &cfg, false).is_err());
     }
 
@@ -558,11 +548,9 @@ mod tests {
             });
             let reference =
                 optimize_matrix_reference(&ntw, &g2, &layout, &lut, &cfg, comp).unwrap();
-            let fast = optimize_matrix(&ntw, &g2, &layout, &lut, &cfg, comp).unwrap();
-            let serial =
-                optimize_matrix_with_threads(&ntw, &g2, &layout, &lut, &cfg, comp, 1).unwrap();
-            let threaded =
-                optimize_matrix_with_threads(&ntw, &g2, &layout, &lut, &cfg, comp, 3).unwrap();
+            let fast = optimize_matrix(&ntw, &g2, &layout, &lut, &cfg, comp, 0).unwrap();
+            let serial = optimize_matrix(&ntw, &g2, &layout, &lut, &cfg, comp, 1).unwrap();
+            let threaded = optimize_matrix(&ntw, &g2, &layout, &lut, &cfg, comp, 3).unwrap();
             assert_bitwise_eq(&fast, &reference, &format!("case {case} fast"));
             assert_bitwise_eq(&serial, &reference, &format!("case {case} serial"));
             assert_bitwise_eq(&threaded, &reference, &format!("case {case} threads=3"));
@@ -579,7 +567,52 @@ mod tests {
         let ntw = Tensor::from_fn(&[48, 2], |i| ((i * 91 + 17) % 256) as f32);
         let g2 = Tensor::from_fn(&[48, 2], |i| 1.0 + (i % 5) as f32);
         let reference = optimize_matrix_reference(&ntw, &g2, &layout, &lut, &cfg, true).unwrap();
-        let fast = optimize_matrix(&ntw, &g2, &layout, &lut, &cfg, true).unwrap();
+        let fast = optimize_matrix(&ntw, &g2, &layout, &lut, &cfg, true, 0).unwrap();
         assert_bitwise_eq(&fast, &reference, "no bias term");
+    }
+
+    /// The table-driven fast path is bitwise identical to the naive
+    /// per-triple reference search: same CTWs, offsets, complement flags
+    /// and objective bits — serial and threaded alike.
+    #[test]
+    fn fast_vawo_matches_reference() {
+        for case in 0..48 {
+            let mut rng = seeded_rng(case);
+            let (m, sigma) = ([16usize, 64, 128][rng.gen_range(0..3)], rng.gen_range(0.2f64..1.0));
+            let (fan_in, fan_out) = (rng.gen_range(1usize..80), rng.gen_range(1usize..6));
+            let (use_complement, seed) = (rng.gen_range(0..2) == 1, rng.gen_range(0u64..1000));
+            let cfg = OffsetConfig::paper(CellKind::Slc, sigma, m).unwrap();
+            let lut = DeviceLut::analytic(&VariationModel::per_weight(sigma), &cfg.codec).unwrap();
+            let layout = GroupLayout::new(fan_in, fan_out, &cfg).unwrap();
+            let ntw = Tensor::from_fn(&[fan_in, fan_out], |i| {
+                ((i as u64 * (seed * 31 + 7) + seed) % 256) as f32
+            });
+            let g2 = Tensor::from_fn(&[fan_in, fan_out], |i| {
+                ((i as u64 * (seed + 11)) % 17) as f32 * 0.25
+            });
+            let reference =
+                optimize_matrix_reference(&ntw, &g2, &layout, &lut, &cfg, use_complement).unwrap();
+            let fast = optimize_matrix(&ntw, &g2, &layout, &lut, &cfg, use_complement, 0).unwrap();
+            let threaded =
+                optimize_matrix(&ntw, &g2, &layout, &lut, &cfg, use_complement, 4).unwrap();
+            for out in [&fast, &threaded] {
+                assert_eq!(out.objective.to_bits(), reference.objective.to_bits(), "case {case}");
+                for (a, b) in out.ctw.data().iter().zip(reference.ctw.data()) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "case {case}");
+                }
+                for g in 0..layout.group_count() {
+                    assert_eq!(
+                        out.state.offset(g).to_bits(),
+                        reference.state.offset(g).to_bits(),
+                        "case {case}: group {g}"
+                    );
+                    assert_eq!(
+                        out.state.is_complemented(g),
+                        reference.state.is_complemented(g),
+                        "case {case}: group {g}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -9,8 +9,8 @@
 //! demand bit-exact agreement with the serial run.
 
 use rdo_core::{
-    evaluate_cycles, optimize_matrix_with_threads, CycleEvalConfig, GroupLayout, MappedNetwork,
-    Method, OffsetConfig, PwtConfig, VawoOutput,
+    evaluate_cycles, optimize_matrix, CycleEvalConfig, GroupLayout, MappedNetwork, Method,
+    OffsetConfig, PwtConfig, VawoOutput,
 };
 use rdo_nn::{fit, Linear, Relu, Sequential, TrainConfig};
 use rdo_rram::{CellKind, DeviceLut, VariationModel};
@@ -43,10 +43,9 @@ fn vawo_pool_matches_serial_bitwise_at_every_thread_count() {
     let lut = DeviceLut::analytic(&VariationModel::per_weight(0.5), &cfg.codec).unwrap();
     let layout = GroupLayout::new(rows, cols, &cfg).unwrap();
 
-    let serial = optimize_matrix_with_threads(&ntw, &g2, &layout, &lut, &cfg, true, 1).unwrap();
+    let serial = optimize_matrix(&ntw, &g2, &layout, &lut, &cfg, true, 1).unwrap();
     for threads in thread_counts() {
-        let pooled =
-            optimize_matrix_with_threads(&ntw, &g2, &layout, &lut, &cfg, true, threads).unwrap();
+        let pooled = optimize_matrix(&ntw, &g2, &layout, &lut, &cfg, true, threads).unwrap();
         assert_vawo_eq(&pooled, &serial, &format!("vawo threads={threads} vs serial"));
     }
 }

@@ -34,8 +34,6 @@ pub struct TrainConfig {
     pub noise_sigma: Option<f32>,
     /// RNG seed for shuffling and noise.
     pub seed: u64,
-    /// Print one progress line per epoch to stderr.
-    pub verbose: bool,
 }
 
 impl Default for TrainConfig {
@@ -49,7 +47,6 @@ impl Default for TrainConfig {
             lr_decay: 0.85,
             noise_sigma: None,
             seed: 0,
-            verbose: false,
         }
     }
 }
@@ -169,7 +166,7 @@ pub fn fit(
 
     let mut xbuf: Vec<f32> = Vec::new();
     let mut ybuf: Vec<usize> = Vec::new();
-    for epoch in 0..cfg.epochs {
+    for _ in 0..cfg.epochs {
         let order = permutation(n, &mut rng);
         let mut epoch_loss = 0.0f32;
         let mut batches = 0usize;
@@ -197,9 +194,6 @@ pub fn fit(
         }
         let mean = epoch_loss / batches.max(1) as f32;
         report.epoch_losses.push(mean);
-        if cfg.verbose {
-            eprintln!("epoch {:>3}: loss {:.4} (lr {:.4})", epoch + 1, mean, opt.lr());
-        }
         opt.set_lr(opt.lr() * cfg.lr_decay);
     }
 

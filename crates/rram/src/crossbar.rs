@@ -125,7 +125,7 @@ fn per_model_counter(name: &str) -> &'static str {
 /// `(fan_in, fan_out)`; the result has the same shape with one sampled
 /// crossbar real weight per entry. This runs the model's
 /// [`DeviceModel::write_bulk`] fast path, which every model pins bitwise
-/// to its [`DeviceModel::write_bulk_reference`] oracle at any seed.
+/// to its per-entry test oracle at any seed.
 ///
 /// Counts `rram.program.calls`, `rram.program.weights` and the model's
 /// `rram.device_model.<name>.programs` when observability is on.
@@ -214,42 +214,6 @@ pub fn program_matrix_with_ddv(
                 *o = (nominal[v as usize] * d as f64 * t.exp() - floor) as f32;
             }
         });
-    }
-    Ok(out)
-}
-
-/// The per-entry reference implementation of [`program_matrix_with_ddv`]
-/// (bitwise oracle for the bulk path, same contract).
-///
-/// # Errors
-///
-/// Same contract as [`program_matrix_with_ddv`].
-pub fn program_matrix_with_ddv_scalar(
-    ctw: &Tensor,
-    codec: &WeightCodec,
-    ddv_factors: &Tensor,
-    ccv: &VariationModel,
-    rng: &mut Rng,
-) -> Result<Tensor> {
-    if ctw.shape().rank() != 2 || ddv_factors.dims() != ctw.dims() {
-        return Err(RramError::ShapeMismatch(format!(
-            "CTW {:?} vs DDV factors {:?}",
-            ctw.dims(),
-            ddv_factors.dims()
-        )));
-    }
-    let floor = codec.total_floor();
-    let mut out = Tensor::zeros(ctw.dims());
-    for ((o, &q), &d) in out.data_mut().iter_mut().zip(ctw.data()).zip(ddv_factors.data()) {
-        let v = q.round();
-        if v < 0.0 || v > codec.max_weight() as f32 {
-            return Err(RramError::WeightOutOfRange {
-                value: v.max(0.0) as u32,
-                levels: codec.weight_levels(),
-            });
-        }
-        let nominal = codec.nominal_conductance(v as u32)?;
-        *o = (nominal * d as f64 * ccv.sample_factor(rng) - floor) as f32;
     }
     Ok(out)
 }
@@ -479,6 +443,58 @@ mod tests {
     use crate::device::{CellKind, CellTechnology};
     use crate::variation::VariationKind;
     use rdo_tensor::rng::seeded_rng;
+
+    /// The per-entry test oracle for [`program_matrix_with_ddv`]: bitwise
+    /// equal to the bulk path, same contract.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`program_matrix_with_ddv`].
+    fn program_matrix_with_ddv_scalar(
+        ctw: &Tensor,
+        codec: &WeightCodec,
+        ddv_factors: &Tensor,
+        ccv: &VariationModel,
+        rng: &mut Rng,
+    ) -> Result<Tensor> {
+        if ctw.shape().rank() != 2 || ddv_factors.dims() != ctw.dims() {
+            return Err(RramError::ShapeMismatch(format!(
+                "CTW {:?} vs DDV factors {:?}",
+                ctw.dims(),
+                ddv_factors.dims()
+            )));
+        }
+        let floor = codec.total_floor();
+        let mut out = Tensor::zeros(ctw.dims());
+        for ((o, &q), &d) in out.data_mut().iter_mut().zip(ctw.data()).zip(ddv_factors.data()) {
+            let v = q.round();
+            if v < 0.0 || v > codec.max_weight() as f32 {
+                return Err(RramError::WeightOutOfRange {
+                    value: v.max(0.0) as u32,
+                    levels: codec.weight_levels(),
+                });
+            }
+            let nominal = codec.nominal_conductance(v as u32)?;
+            *o = (nominal * d as f64 * ccv.sample_factor(rng) - floor) as f32;
+        }
+        Ok(out)
+    }
+
+    /// The paper codec of an SLC or a 2-bit MLC cell, equally likely.
+    fn random_codec(rng: &mut Rng) -> WeightCodec {
+        let kind = [CellKind::Slc, CellKind::Mlc2][rng.gen_range(0..2)];
+        WeightCodec::paper(CellTechnology::paper(kind))
+    }
+
+    /// Either variation kind, equally likely.
+    fn random_kind(rng: &mut Rng) -> VariationKind {
+        [VariationKind::PerCell, VariationKind::PerWeight][rng.gen_range(0..2)]
+    }
+
+    /// σ = 0 or σ uniform in `[lo, hi)`, equally likely.
+    fn zero_or_sigma(lo: f64, hi: f64, rng: &mut Rng) -> f64 {
+        [0.0, rng.gen_range(lo..hi)][rng.gen_range(0..2)]
+    }
 
     fn codec() -> WeightCodec {
         WeightCodec::paper(CellTechnology::paper(CellKind::Slc))
@@ -777,5 +793,51 @@ mod tests {
         assert_eq!(spec.weight_cols(&codec()), 16); // 128 / 8 SLCs
         let mlc = WeightCodec::paper(CellTechnology::paper(CellKind::Mlc2));
         assert_eq!(spec.weight_cols(&mlc), 32); // 128 / 4 MLCs
+    }
+
+    /// The bulk programming path is bitwise identical to the scalar
+    /// per-entry path for any σ (including 0), either variation kind
+    /// and either cell kind, at any matching seed.
+    #[test]
+    fn bulk_program_matches_scalar() {
+        for case in 0..64 {
+            let mut rng = seeded_rng(case);
+            let (codec, seed) = (random_codec(&mut rng), rng.gen_range(0u64..1000));
+            let model =
+                VariationModel::new(zero_or_sigma(0.05, 1.0, &mut rng), random_kind(&mut rng));
+            let (rows, cols) = (rng.gen_range(1usize..12), rng.gen_range(1usize..12));
+            let ctw = Tensor::from_fn(&[rows, cols], |i| {
+                ((i as u64 * (seed * 13 + 5) + seed) % 256) as f32
+            });
+            let bulk = program_matrix(&ctw, &codec, &model, &mut seeded_rng(seed)).unwrap();
+            let scalar = model.write_bulk_reference(&ctw, &codec, &mut seeded_rng(seed)).unwrap();
+            for (a, b) in bulk.data().iter().zip(scalar.data()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "case {case}");
+            }
+        }
+    }
+
+    /// Same bitwise guarantee for the DDV + CCV programming path.
+    #[test]
+    fn bulk_ddv_program_matches_scalar() {
+        for case in 0..64 {
+            let mut rng = seeded_rng(case);
+            let (codec, seed) = (random_codec(&mut rng), rng.gen_range(0u64..1000));
+            let ddv = VariationModel::per_weight(zero_or_sigma(0.05, 0.5, &mut rng));
+            let ccv = VariationModel::per_weight(zero_or_sigma(0.05, 0.5, &mut rng));
+            let (rows, cols) = (rng.gen_range(1usize..10), rng.gen_range(1usize..10));
+            let ctw = Tensor::from_fn(&[rows, cols], |i| {
+                ((i as u64 * (seed * 17 + 3) + seed) % 256) as f32
+            });
+            let factors = sample_ddv_factors(&[rows, cols], &ddv, &mut seeded_rng(seed ^ 0xD0));
+            let bulk = program_matrix_with_ddv(&ctw, &codec, &factors, &ccv, &mut seeded_rng(seed))
+                .unwrap();
+            let scalar =
+                program_matrix_with_ddv_scalar(&ctw, &codec, &factors, &ccv, &mut seeded_rng(seed))
+                    .unwrap();
+            for (a, b) in bulk.data().iter().zip(scalar.data()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "case {case}");
+            }
+        }
     }
 }

@@ -23,11 +23,11 @@
 //!
 //! # Contract (DESIGN.md §5i)
 //!
-//! Every model ships three sampling entry points with a pinned
-//! relationship: [`DeviceModel::write`] is the scalar law,
-//! [`DeviceModel::write_bulk_reference`] is the per-entry oracle (by
-//! default a `write` loop), and [`DeviceModel::write_bulk`] is the fast
-//! path, which must be **bitwise identical** to the reference at any seed.
+//! Every model ships two sampling entry points with a pinned
+//! relationship: [`DeviceModel::write`] is the scalar law and
+//! [`DeviceModel::write_bulk`] is the fast path, which must be **bitwise
+//! identical** at any seed to the per-entry test oracle
+//! `write_bulk_reference` (by default a `write` loop).
 //! RNG draw order is part of each model's contract and is documented on
 //! the model; fingerprints ([`DeviceModel::fingerprint`]) identify the
 //! model *and* its parameters, and key the shared-LUT cache in
@@ -76,27 +76,26 @@ pub trait DeviceModel: fmt::Debug + Send + Sync {
     fn write(&self, v: u32, codec: &WeightCodec, rng: &mut Rng) -> Result<f64>;
 
     /// Samples CRWs for a whole CTW matrix — the bulk fast path. Must be
-    /// bitwise identical to [`DeviceModel::write_bulk_reference`] at any
-    /// seed; the paths may only differ on invalid input, where the fast
-    /// path is allowed to error before consuming RNG draws.
+    /// bitwise identical at any seed to the per-entry test oracle
+    /// `write_bulk_reference`; the paths may only differ on invalid input,
+    /// where the fast path is allowed to error before consuming RNG draws.
     ///
     /// # Errors
     ///
     /// Returns [`RramError::WeightOutOfRange`] /
     /// [`RramError::ShapeMismatch`] on invalid input.
-    fn write_bulk(&self, ctw: &Tensor, codec: &WeightCodec, rng: &mut Rng) -> Result<Tensor> {
-        self.write_bulk_reference(ctw, codec, rng)
-    }
+    fn write_bulk(&self, ctw: &Tensor, codec: &WeightCodec, rng: &mut Rng) -> Result<Tensor>;
 
-    /// The per-entry oracle for [`DeviceModel::write_bulk`]: by default a
-    /// plain [`DeviceModel::write`] loop in row-major entry order. Models
-    /// whose bulk path reorders draws across entries (the differential
-    /// pair programs one full array, then the other) override this so the
-    /// oracle shares the bulk draw order.
+    /// The per-entry test oracle for [`DeviceModel::write_bulk`]: by
+    /// default a plain [`DeviceModel::write`] loop in row-major entry
+    /// order. Models whose bulk path reorders draws across entries (the
+    /// differential pair programs one full array, then the other) override
+    /// this so the oracle shares the bulk draw order.
     ///
     /// # Errors
     ///
     /// Same contract as [`DeviceModel::write_bulk`].
+    #[cfg(test)]
     fn write_bulk_reference(
         &self,
         ctw: &Tensor,
@@ -521,9 +520,9 @@ impl DeviceModel for DriftRelaxModel {
 ///
 /// Draw order (the documented contract): the **full positive array
 /// first**, then the full negative array, each pass following the base
-/// model's own convention. The default per-entry-interleaved reference
-/// would not match, so [`DeviceModel::write_bulk_reference`] is overridden
-/// to run the base model's reference twice in the same array order.
+/// model's own convention. The default per-entry-interleaved test oracle
+/// would not match, so the pair overrides `write_bulk_reference` to run
+/// the base model's oracle twice in the same array order.
 #[derive(Debug)]
 pub struct DifferentialPairModel {
     base: Box<dyn DeviceModel>,
@@ -595,6 +594,7 @@ impl DeviceModel for DifferentialPairModel {
         Ok(out)
     }
 
+    #[cfg(test)]
     fn write_bulk_reference(
         &self,
         ctw: &Tensor,

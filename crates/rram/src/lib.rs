@@ -50,8 +50,7 @@ mod variation;
 pub use adc::{Adc, BitSerialEvaluator};
 pub use codec::WeightCodec;
 pub use crossbar::{
-    program_matrix, program_matrix_with_ddv, program_matrix_with_ddv_scalar, sample_ddv_factors,
-    Crossbar, CrossbarSpec,
+    program_matrix, program_matrix_with_ddv, sample_ddv_factors, Crossbar, CrossbarSpec,
 };
 pub use device::{CellKind, CellTechnology};
 pub use device_model::{

@@ -145,8 +145,8 @@ fn per_cell_tables(codec: &WeightCodec) -> Result<(Vec<f64>, Vec<f64>, usize)> {
 /// Draw order (the bulk ≡ reference contract): per weight in row-major
 /// order, one θ for [`VariationKind::PerWeight`] or one θ per cell in
 /// ascending slice order for [`VariationKind::PerCell`]; no draw at all
-/// at σ = 0. [`DeviceModel::write_bulk_reference`] is the trait's default
-/// per-entry [`DeviceModel::write`] loop.
+/// at σ = 0. Its test oracle is the trait's default per-entry
+/// [`DeviceModel::write`] loop.
 impl DeviceModel for VariationModel {
     fn name(&self) -> &'static str {
         match self.kind {

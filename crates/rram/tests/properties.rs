@@ -3,12 +3,10 @@
 //! `seeded_rng(i)`.
 
 use rdo_rram::{
-    program_matrix, program_matrix_with_ddv, program_matrix_with_ddv_scalar, sample_ddv_factors,
     CellKind, CellTechnology, DeviceLut, DeviceModel, VariationKind, VariationModel, WeightCodec,
 };
 use rdo_tensor::rng::seeded_rng;
 use rdo_tensor::rng::Rng;
-use rdo_tensor::Tensor;
 
 /// The paper codec of an SLC or a 2-bit MLC cell, equally likely.
 fn random_codec(rng: &mut Rng) -> WeightCodec {
@@ -19,11 +17,6 @@ fn random_codec(rng: &mut Rng) -> WeightCodec {
 /// Either variation kind, equally likely.
 fn random_kind(rng: &mut Rng) -> VariationKind {
     [VariationKind::PerCell, VariationKind::PerWeight][rng.gen_range(0..2)]
-}
-
-/// σ = 0 or σ uniform in `[lo, hi)`, equally likely.
-fn zero_or_sigma(lo: f64, hi: f64, rng: &mut Rng) -> f64 {
-    [0.0, rng.gen_range(lo..hi)][rng.gen_range(0..2)]
 }
 
 /// encode/decode is the identity on every representable weight.
@@ -132,49 +125,6 @@ fn read_power_depends_on_level_multiset() {
         let p1 = codec.read_power(v).unwrap();
         let p2 = codec.read_power(rotated).unwrap();
         assert!((p1 - p2).abs() < 1e-9, "case {case}: {p1} vs {p2}");
-    }
-}
-
-/// The bulk programming path is bitwise identical to the scalar
-/// per-entry path for any σ (including 0), either variation kind
-/// and either cell kind, at any matching seed.
-#[test]
-fn bulk_program_matches_scalar() {
-    for case in 0..64 {
-        let mut rng = seeded_rng(case);
-        let (codec, seed) = (random_codec(&mut rng), rng.gen_range(0u64..1000));
-        let model = VariationModel::new(zero_or_sigma(0.05, 1.0, &mut rng), random_kind(&mut rng));
-        let (rows, cols) = (rng.gen_range(1usize..12), rng.gen_range(1usize..12));
-        let ctw =
-            Tensor::from_fn(&[rows, cols], |i| ((i as u64 * (seed * 13 + 5) + seed) % 256) as f32);
-        let bulk = program_matrix(&ctw, &codec, &model, &mut seeded_rng(seed)).unwrap();
-        let scalar = model.write_bulk_reference(&ctw, &codec, &mut seeded_rng(seed)).unwrap();
-        for (a, b) in bulk.data().iter().zip(scalar.data()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "case {case}");
-        }
-    }
-}
-
-/// Same bitwise guarantee for the DDV + CCV programming path.
-#[test]
-fn bulk_ddv_program_matches_scalar() {
-    for case in 0..64 {
-        let mut rng = seeded_rng(case);
-        let (codec, seed) = (random_codec(&mut rng), rng.gen_range(0u64..1000));
-        let ddv = VariationModel::per_weight(zero_or_sigma(0.05, 0.5, &mut rng));
-        let ccv = VariationModel::per_weight(zero_or_sigma(0.05, 0.5, &mut rng));
-        let (rows, cols) = (rng.gen_range(1usize..10), rng.gen_range(1usize..10));
-        let ctw =
-            Tensor::from_fn(&[rows, cols], |i| ((i as u64 * (seed * 17 + 3) + seed) % 256) as f32);
-        let factors = sample_ddv_factors(&[rows, cols], &ddv, &mut seeded_rng(seed ^ 0xD0));
-        let bulk =
-            program_matrix_with_ddv(&ctw, &codec, &factors, &ccv, &mut seeded_rng(seed)).unwrap();
-        let scalar =
-            program_matrix_with_ddv_scalar(&ctw, &codec, &factors, &ccv, &mut seeded_rng(seed))
-                .unwrap();
-        for (a, b) in bulk.data().iter().zip(scalar.data()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "case {case}");
-        }
     }
 }
 

@@ -52,10 +52,7 @@ pub use conv::{
     patch_group_sums_into, transposed_kernel_into, Conv2dGeometry,
 };
 pub use error::{Result, TensorError};
-pub use matmul::{
-    auto_threads, matmul, matmul_into, matmul_into_scalar, matmul_into_serial, matmul_into_threads,
-    vecmat,
-};
+pub use matmul::{auto_threads, matmul, matmul_into, matmul_into_threads, vecmat};
 pub use microkernel::PackedA;
 pub use parallel::{available_threads, parallel_map_indexed, resolve_threads};
 pub use qint::{dot_planes_range, popcount_range, BitPlanes, ColumnPlanes};

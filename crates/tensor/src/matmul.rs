@@ -13,10 +13,7 @@
 //! worker threads (`RDO_THREADS` controls the count; see
 //! [`crate::parallel`]). The microkernel partitions output rows into
 //! whole register tiles, so the product is **bitwise identical at every
-//! thread count**. The retired cache-blocked scalar kernel is kept as
-//! [`matmul_into_scalar`] for reference and benchmarking; its operation
-//! order differs from the microkernel's, so absolute values may differ
-//! from it within normal f32 tolerance.
+//! thread count**.
 
 use std::cell::RefCell;
 
@@ -25,9 +22,6 @@ use crate::microkernel::gemm_nn;
 use crate::parallel::available_threads;
 use crate::scratch::Scratch;
 use crate::tensor::Tensor;
-
-/// Cache block size (elements) of the legacy scalar kernel.
-const BLOCK: usize = 64;
 
 /// Multiply–accumulate count (`m·k·n`) above which the auto-threaded
 /// entry points use worker threads. Below it, thread spawn/join overhead
@@ -100,24 +94,14 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// Products above [`PAR_MIN_MACS`] multiply–accumulates are partitioned
 /// over worker threads (thread count from [`available_threads`], i.e. the
 /// `RDO_THREADS` knob); results are bitwise identical to the serial kernel
-/// either way. Use [`matmul_into_serial`] or [`matmul_into_threads`] to
-/// force a specific path.
+/// either way. Use [`matmul_into_threads`] to force a specific thread
+/// count.
 ///
 /// # Panics
 ///
 /// Panics if the slice lengths do not match `m*k`, `k*n` and `m*n`.
 pub fn matmul_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     matmul_into_threads(a, b, c, m, k, n, auto_threads(m, k, n));
-}
-
-/// The serial path of the microkernel: `c += a · b`, always on the
-/// calling thread, bitwise identical to every threaded invocation.
-///
-/// # Panics
-///
-/// Panics if the slice lengths do not match `m*k`, `k*n` and `m*n`.
-pub fn matmul_into_serial(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    matmul_into_threads(a, b, c, m, k, n, 1);
 }
 
 /// Microkernel matmul on up to `threads` pool workers (`0` and
@@ -141,39 +125,6 @@ pub fn matmul_into_threads(
     threads: usize,
 ) {
     with_scratch(|s| gemm_nn(a, b, c, m, k, n, threads.max(1), s));
-}
-
-/// The pre-microkernel cache-blocked scalar kernel: `c += a · b` in ikj
-/// order, always serial. Retained as the reference point for the
-/// `results/BENCH_gemm.json` speedup trajectory and for cross-checking the
-/// microkernel in tests; not used by any production path.
-///
-/// # Panics
-///
-/// Panics if the slice lengths do not match `m*k`, `k*n` and `m*n`.
-pub fn matmul_into_scalar(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    assert_eq!(a.len(), m * k, "lhs length");
-    assert_eq!(b.len(), k * n, "rhs length");
-    assert_eq!(c.len(), m * n, "out length");
-    for i0 in (0..m).step_by(BLOCK) {
-        let i1 = (i0 + BLOCK).min(m);
-        for k0 in (0..k).step_by(BLOCK) {
-            let k1 = (k0 + BLOCK).min(k);
-            for i in i0..i1 {
-                let crow = &mut c[i * n..(i + 1) * n];
-                for kk in k0..k1 {
-                    let aik = a[i * k + kk];
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    let brow = &b[kk * n..(kk + 1) * n];
-                    for (cv, &bv) in crow.iter_mut().zip(brow) {
-                        *cv += aik * bv;
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// Vector–matrix product `y = x (m) · A (m×n)` — the orientation RRAM
@@ -218,6 +169,42 @@ mod tests {
         })
     }
 
+    /// Cache block size (elements) of the legacy scalar kernel.
+    const BLOCK: usize = 64;
+
+    /// The pre-microkernel cache-blocked scalar kernel, kept as a test
+    /// oracle: `c += a · b` in ikj order, always serial. Its operation
+    /// order differs from the microkernel's, so the two agree within f32
+    /// tolerance, not bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slice lengths do not match `m*k`, `k*n` and `m*n`.
+    fn matmul_into_scalar(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+        assert_eq!(a.len(), m * k, "lhs length");
+        assert_eq!(b.len(), k * n, "rhs length");
+        assert_eq!(c.len(), m * n, "out length");
+        for i0 in (0..m).step_by(BLOCK) {
+            let i1 = (i0 + BLOCK).min(m);
+            for k0 in (0..k).step_by(BLOCK) {
+                let k1 = (k0 + BLOCK).min(k);
+                for i in i0..i1 {
+                    let crow = &mut c[i * n..(i + 1) * n];
+                    for kk in k0..k1 {
+                        let aik = a[i * k + kk];
+                        if aik == 0.0 {
+                            continue;
+                        }
+                        let brow = &b[kk * n..(kk + 1) * n];
+                        for (cv, &bv) in crow.iter_mut().zip(brow) {
+                            *cv += aik * bv;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn small_known_product() {
         let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]).unwrap();
@@ -244,7 +231,7 @@ mod tests {
         let a: Vec<f32> = (0..m * k).map(|i| ((i * 7919) % 13) as f32 * 0.37 - 2.0).collect();
         let b: Vec<f32> = (0..k * n).map(|i| ((i * 104729) % 11) as f32 * 0.21 - 1.0).collect();
         let mut new = vec![0.0f32; m * n];
-        matmul_into_serial(&a, &b, &mut new, m, k, n);
+        matmul_into_threads(&a, &b, &mut new, m, k, n, 1);
         let mut old = vec![0.0f32; m * n];
         matmul_into_scalar(&a, &b, &mut old, m, k, n);
         for (x, y) in new.iter().zip(&old) {
@@ -299,7 +286,7 @@ mod tests {
         let a: Vec<f32> = (0..m * k).map(|i| ((i * 7919) % 13) as f32 * 0.37 - 2.0).collect();
         let b: Vec<f32> = (0..k * n).map(|i| ((i * 104729) % 11) as f32 * 0.21 - 1.0).collect();
         let mut serial = vec![0.0f32; m * n];
-        matmul_into_serial(&a, &b, &mut serial, m, k, n);
+        matmul_into_threads(&a, &b, &mut serial, m, k, n, 1);
         for threads in [0, 1, 2, 3, 5, 8, 64] {
             let mut par = vec![0.0f32; m * n];
             matmul_into_threads(&a, &b, &mut par, m, k, n, threads);
@@ -314,7 +301,7 @@ mod tests {
         let a: Vec<f32> = (0..m * k).map(|i| i as f32).collect();
         let b: Vec<f32> = (0..k * n).map(|i| (i as f32) * 0.5).collect();
         let mut serial = vec![1.0f32; m * n];
-        matmul_into_serial(&a, &b, &mut serial, m, k, n);
+        matmul_into_threads(&a, &b, &mut serial, m, k, n, 1);
         let mut par = vec![1.0f32; m * n];
         matmul_into_threads(&a, &b, &mut par, m, k, n, 4);
         assert_eq!(par, serial);

@@ -37,8 +37,8 @@
 //! The operation order differs from the pre-microkernel scalar kernel
 //! (lane-blocked reductions instead of strictly sequential `k`), so
 //! absolute values may differ from it within normal f32 tolerance; the
-//! legacy kernel is kept as [`crate::matmul::matmul_into_scalar`] for
-//! reference and benchmarking.
+//! legacy kernel is kept as a test oracle in the `matmul` module's
+//! tests.
 
 // GEMM entry points take the conventional (a, b, c, m, k, n, threads,
 // scratch) argument list; bundling the dimensions into a struct would

@@ -4,10 +4,7 @@
 use rdo_tensor::microkernel::{KC, MR, NR};
 use rdo_tensor::rng::seeded_rng;
 use rdo_tensor::rng::Rng;
-use rdo_tensor::{
-    col2im, im2col, matmul, matmul_into_serial, matmul_into_threads, BitPlanes, Conv2dGeometry,
-    Tensor,
-};
+use rdo_tensor::{col2im, im2col, matmul, matmul_into_threads, BitPlanes, Conv2dGeometry, Tensor};
 
 /// Dimensions that straddle the microkernel tile and panel boundaries:
 /// one below, exactly on, and one above each multiple of the tile size.
@@ -153,7 +150,7 @@ fn parallel_matmul_matches_serial_bitwise() {
             (0..k * n).map(|i| ((i as u64).wrapping_mul(seed + 13) % 31) as f32 - 15.0).collect();
         let mut serial = vec![0.0f32; m * n];
         let mut parallel = vec![0.0f32; m * n];
-        matmul_into_serial(&a, &b, &mut serial, m, k, n);
+        matmul_into_threads(&a, &b, &mut serial, m, k, n, 1);
         matmul_into_threads(&a, &b, &mut parallel, m, k, n, threads);
         assert_eq!(serial, parallel, "case {case}");
     }
@@ -176,7 +173,7 @@ fn microkernel_matches_naive_at_tile_boundaries() {
             .map(|i| ((i as u64).wrapping_mul(seed + 19) % 29) as f32 * 0.29 - 4.0)
             .collect();
         let mut c = vec![0.0f32; m * n];
-        matmul_into_serial(&a, &b, &mut c, m, k, n);
+        matmul_into_threads(&a, &b, &mut c, m, k, n, 1);
         for i in 0..m {
             for j in 0..n {
                 let want: f64 =
@@ -207,7 +204,7 @@ fn thread_count_never_changes_bits() {
             (0..k * n).map(|i| ((i as u64).wrapping_mul(seed + 29) % 37) as f32 - 18.0).collect();
         let mut serial = vec![0.0f32; m * n];
         let mut threaded = vec![0.0f32; m * n];
-        matmul_into_serial(&a, &b, &mut serial, m, k, n);
+        matmul_into_threads(&a, &b, &mut serial, m, k, n, 1);
         matmul_into_threads(&a, &b, &mut threaded, m, k, n, threads);
         assert_eq!(serial, threaded, "case {case}: threads={threads}");
     }

@@ -12,6 +12,55 @@ if grep -nwE 'rand(_distr)?|serde(_json)?|proptest' Cargo.toml crates/*/Cargo.to
   exit 1
 fi
 
+# Test oracles pin the fast paths from the unit tests of the module they
+# pin; they are not API. This keeps the retired oracles and twin entry
+# points out of every crate's public surface by name.
+echo "==> no test oracle or retired twin entry point is public"
+python3 - <<'PYEOF'
+import glob, re, sys
+# compiled into the unit tests only (#[cfg(test)]), never public
+TEST_ONLY = ["tune_reference", "optimize_matrix_reference", "reduce_gradient",
+             "extract_core_gradients", "matmul_into_scalar",
+             "program_matrix_with_ddv_scalar", "write_bulk_reference"]
+# deleted: one entry point per operation
+GONE = ["matmul_into_serial", "optimize_matrix_with_threads"]
+# a shipping helper, private to its crate
+PRIVATE = ["refresh_effective_reference"]
+NAMES = TEST_ONLY + GONE + PRIVATE
+errors = []
+for path in sorted(glob.glob("crates/*/src/**/*.rs", recursive=True)):
+    text = open(path).read()
+    lines = text.split("\n")
+    # the trailing `#[cfg(test)] mod tests` block, if any
+    tests_at = len(lines)
+    for i in range(len(lines) - 1):
+        if lines[i].strip() == "#[cfg(test)]" and lines[i + 1].startswith("mod tests"):
+            tests_at = i
+            break
+    for stmt in re.findall(r"\bpub\s+use\b[^;]*;", text):
+        for name in NAMES:
+            if re.search(rf"\b{name}\b", stmt):
+                errors.append(f"{path}: `pub use` re-exports {name}")
+    for i, line in enumerate(lines):
+        for name in NAMES:
+            if not re.search(rf"\bfn\s+{name}\b", line):
+                continue
+            where = f"{path}:{i + 1}"
+            if name in GONE:
+                errors.append(f"{where}: {name} is deleted; call the one entry point")
+            elif re.match(r"\s*pub\s+fn\b", line):
+                errors.append(f"{where}: {name} is public")
+            elif name in TEST_ONLY and i < tests_at:
+                j = i - 1
+                while j >= 0 and lines[j].strip().startswith(("///", "#[")) \
+                        and lines[j].strip() != "#[cfg(test)]":
+                    j -= 1
+                if j < 0 or lines[j].strip() != "#[cfg(test)]":
+                    errors.append(f"{where}: {name} is not #[cfg(test)]")
+if errors:
+    sys.exit("ci: test oracles leaked into the API:\n  " + "\n  ".join(errors))
+PYEOF
+
 echo "==> cargo build --release --offline"
 cargo build --release --offline
 
