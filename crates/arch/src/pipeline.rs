@@ -5,8 +5,7 @@
 //! ISAAC pipelines layers across tiles; within a layer, all of a matrix's
 //! crossbars operate in parallel, so one inference step through a layer
 //! takes `input_bits · ⌈rows_per_tile / m⌉` array cycles (bit-serial
-//! inputs × partial wordline activation — the same cycle count
-//! [`rdo_rram::BitSerialEvaluator::cycles`] executes). §III-E's Sum+Multi
+//! inputs × partial wordline activation, §II). §III-E's Sum+Multi
 //! operation rides inside the same cycle (checked by
 //! [`crate::tile_overhead`]), so the offset support adds energy but no
 //! latency.

@@ -700,9 +700,9 @@ impl GridPoint {
 
 /// An ordered set of [`GridPoint`]s — what [`run_grid`] sweeps.
 ///
-/// Build one from an explicit point list (`Vec<GridPoint>`,
-/// `&[GridPoint]` and iterators all convert [`Into`] it) or as the
-/// cartesian [`product`](GridSpec::product) of per-axis values. Order is
+/// Build one as the cartesian [`product`](GridSpec::product) of per-axis
+/// values, or from an explicit point slice (`&[GridPoint]` converts
+/// [`Into`] it; [`GridPoint::with_model`] pins a device model). Order is
 /// load-bearing: results come back in point order and the figure binaries
 /// index them positionally.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -711,11 +711,6 @@ pub struct GridSpec {
 }
 
 impl GridSpec {
-    /// Wraps an explicit point list.
-    pub fn new(points: Vec<GridPoint>) -> Self {
-        GridSpec { points }
-    }
-
     /// The cartesian product of the four axes, nested method → cell →
     /// σ → m (m innermost — the row-major layout every Fig. 5 binary
     /// indexes into). Points carry no pinned device model, so the sweep
@@ -734,60 +729,15 @@ impl GridSpec {
         GridSpec { points }
     }
 
-    /// [`GridSpec::product`] with an explicit device-model axis, nested
-    /// method → model → cell → σ → m (m still innermost, so existing
-    /// positional indexing generalizes: the model axis is one stride
-    /// outside the cell axis).
-    pub fn product_with_models(
-        methods: &[Method],
-        models: &[DeviceModelSpec],
-        cells: &[CellKind],
-        sigmas: &[f64],
-        ms: &[usize],
-    ) -> Self {
-        let n = methods.len() * models.len() * cells.len() * sigmas.len() * ms.len();
-        let mut points = Vec::with_capacity(n);
-        for &method in methods {
-            for &model in models {
-                for &cell in cells {
-                    for &sigma in sigmas {
-                        for &m in ms {
-                            points.push(GridPoint::new(method, cell, sigma, m).with_model(model));
-                        }
-                    }
-                }
-            }
-        }
-        GridSpec { points }
-    }
-
     /// The points, in sweep order.
     pub fn points(&self) -> &[GridPoint] {
         &self.points
     }
 }
 
-impl From<Vec<GridPoint>> for GridSpec {
-    fn from(points: Vec<GridPoint>) -> Self {
-        GridSpec { points }
-    }
-}
-
 impl From<&[GridPoint]> for GridSpec {
     fn from(points: &[GridPoint]) -> Self {
         GridSpec { points: points.to_vec() }
-    }
-}
-
-impl<const N: usize> From<[GridPoint; N]> for GridSpec {
-    fn from(points: [GridPoint; N]) -> Self {
-        GridSpec { points: points.to_vec() }
-    }
-}
-
-impl FromIterator<GridPoint> for GridSpec {
-    fn from_iter<T: IntoIterator<Item = GridPoint>>(iter: T) -> Self {
-        GridSpec { points: iter.into_iter().collect() }
     }
 }
 
@@ -977,35 +927,11 @@ mod tests {
         assert_eq!((p[4].method, p[4].sigma, p[4].m), (Method::Vawo, 0.3, 16));
         // four-axis products never pin a model (they inherit the config's)
         assert!(p.iter().all(|pt| pt.model.is_none()));
-        // conversions agree
-        let from_vec: GridSpec = p.to_vec().into();
-        assert_eq!(from_vec, spec);
-        let from_iter: GridSpec = p.iter().copied().collect();
-        assert_eq!(from_iter, spec);
-    }
-
-    #[test]
-    fn grid_spec_product_with_models_nests_model_second() {
-        let models = [DeviceModelSpec::PaperLognormal, DeviceModelSpec::drift_relax_default()];
-        let spec = GridSpec::product_with_models(
-            &[Method::Plain, Method::Pwt],
-            &models,
-            &[CellKind::Slc],
-            &[0.5],
-            &[16, 64],
-        );
-        let p = spec.points();
-        assert_eq!(p.len(), 8);
-        // method outermost, then model, m innermost
-        assert_eq!((p[0].method, p[0].model, p[0].m), (Method::Plain, Some(models[0]), 16));
-        assert_eq!((p[1].method, p[1].model, p[1].m), (Method::Plain, Some(models[0]), 64));
-        assert_eq!((p[2].method, p[2].model, p[2].m), (Method::Plain, Some(models[1]), 16));
-        assert_eq!((p[4].method, p[4].model, p[4].m), (Method::Pwt, Some(models[0]), 16));
-        // the explicit-point builders agree on the extended shape too
-        assert_eq!(
-            GridPoint::new(Method::Plain, CellKind::Slc, 0.5, 16).with_model(models[1]).model,
-            Some(models[1])
-        );
+        // the slice conversion agrees
+        assert_eq!(GridSpec::from(p), spec);
+        // an explicit point pins its model
+        let model = DeviceModelSpec::drift_relax_default();
+        assert_eq!(p[0].with_model(model).model, Some(model));
     }
 
     #[test]

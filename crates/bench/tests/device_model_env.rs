@@ -57,18 +57,15 @@ fn rdo_device_model_reaches_from_env() {
 fn run_grid_covers_the_zoo_per_point() {
     let model = tiny_model();
     let cfg = BenchConfig::builder().cycles(2).threads(1).build();
-    let spec = GridSpec::product_with_models(
-        &[Method::Plain],
-        &[
-            DeviceModelSpec::level_default(),
-            DeviceModelSpec::drift_relax_default(),
-            DeviceModelSpec::DiffPair { base: DiffBase::Paper },
-        ],
-        &[CellKind::Slc],
-        &[0.5],
-        &[16],
-    );
-    let results = run_grid(&model, spec, &cfg).expect("zoo grid runs");
+    let points: Vec<GridPoint> = [
+        DeviceModelSpec::level_default(),
+        DeviceModelSpec::drift_relax_default(),
+        DeviceModelSpec::DiffPair { base: DiffBase::Paper },
+    ]
+    .into_iter()
+    .map(|m| GridPoint::new(Method::Plain, CellKind::Slc, 0.5, 16).with_model(m))
+    .collect();
+    let results = run_grid(&model, points.as_slice(), &cfg).expect("zoo grid runs");
     assert_eq!(results.len(), 3);
     for r in &results {
         assert_eq!(r.per_cycle.len(), 2);
@@ -85,17 +82,16 @@ fn config_knob_reaches_points_without_their_own_model() {
         .threads(1)
         .device_model(DeviceModelSpec::drift_relax_default())
         .build();
-    let knob = run_grid(&model, GridSpec::product(axes.0, axes.1, axes.2, axes.3), &knob_cfg)
-        .expect("knob grid");
+    let spec = GridSpec::product(axes.0, axes.1, axes.2, axes.3);
+    let knob = run_grid(&model, spec.clone(), &knob_cfg).expect("knob grid");
     let explicit_cfg = BenchConfig::builder().cycles(2).threads(1).build();
-    let explicit_spec = GridSpec::product_with_models(
-        axes.0,
-        &[DeviceModelSpec::drift_relax_default()],
-        axes.1,
-        axes.2,
-        axes.3,
-    );
-    let explicit = run_grid(&model, explicit_spec, &explicit_cfg).expect("explicit grid");
+    let explicit_points: Vec<GridPoint> = spec
+        .points()
+        .iter()
+        .map(|p| p.with_model(DeviceModelSpec::drift_relax_default()))
+        .collect();
+    let explicit =
+        run_grid(&model, explicit_points.as_slice(), &explicit_cfg).expect("explicit grid");
     assert_eq!(
         knob[0].per_cycle, explicit[0].per_cycle,
         "config-level model must act exactly like a per-point model"
@@ -107,17 +103,16 @@ fn stuck_faults_are_deterministic_in_thread_count() {
     let model = tiny_model();
     // A fault rate high enough that every cycle sees stuck cells: any
     // scheduling sensitivity in the fault draws would show up here.
-    let zoo = [DeviceModelSpec::LevelLognormal { lrs: 0.3, hrs: 0.7, stuck: 0.05 }];
+    let stuck = DeviceModelSpec::LevelLognormal { lrs: 0.3, hrs: 0.7, stuck: 0.05 };
+    let points: Vec<GridPoint> =
+        GridSpec::product(&[Method::Plain], &[CellKind::Slc], &[0.5, 0.8], &[16])
+            .points()
+            .iter()
+            .map(|p| p.with_model(stuck))
+            .collect();
     let run = |threads: usize| {
         let cfg = BenchConfig::builder().cycles(3).threads(threads).build();
-        let spec = GridSpec::product_with_models(
-            &[Method::Plain],
-            &zoo,
-            &[CellKind::Slc],
-            &[0.5, 0.8],
-            &[16],
-        );
-        run_grid(&model, spec, &cfg).expect("stuck grid")
+        run_grid(&model, points.as_slice(), &cfg).expect("stuck grid")
     };
     let serial = run(1);
     let threaded = run(4);

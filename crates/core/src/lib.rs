@@ -59,7 +59,7 @@ pub use gradient::{
     CoreWeightInfo,
 };
 pub use mapping::{MappedLayer, MappedNetwork};
-pub use offsets::{correct_group_sum, GroupLayout, OffsetState};
+pub use offsets::{GroupLayout, OffsetState};
 pub use pwt::{tune, tune_incremental, tune_with_scratch, PwtConfig, PwtOptimizer, PwtReport};
 pub use scratch::PwtScratch;
 pub use vawo::{complement_weight, optimize_matrix, VawoOutput};

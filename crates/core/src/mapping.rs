@@ -84,90 +84,6 @@ impl MappedLayer {
         let float = nrw.map(|v| q.dequantize(v));
         Ok(float.transpose2()?)
     }
-
-    /// The layer's CTW matrix as the integers the crossbar stores,
-    /// row-major `(fan_in, fan_out)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] if any CTW entry is
-    /// non-integral or outside `0..=maxw` (a valid mapping never produces
-    /// either).
-    fn ctw_integers(&self, cfg: &OffsetConfig) -> Result<Vec<u32>> {
-        let maxw = cfg.codec.max_weight();
-        self.ctw
-            .data()
-            .iter()
-            .map(|&v| {
-                if v.fract() != 0.0 || v < 0.0 || v > maxw as f32 {
-                    return Err(CoreError::InvalidConfig(format!(
-                        "CTW entry {v} is not an integer in 0..={maxw}"
-                    )));
-                }
-                Ok(v as u32)
-            })
-            .collect()
-    }
-
-    /// Integer readout of the *nominal* layer (the stored CTWs, no device
-    /// noise) through the digital-offset datapath, in exact `i64`
-    /// arithmetic end to end.
-    ///
-    /// The input is packed into bit-planes, each offset group's raw sum
-    /// `z = Σᵢ xᵢ·CTWᵢ` and its input popcount `Σxᵢ` come from
-    /// `count_ones()` over plane intersections, and the digital correction
-    /// — `z + b·Σxᵢ`, or the complement arm `maxw·Σxᵢ − (z + b·Σxᵢ)` — is
-    /// applied per group by [`crate::offsets::correct_group_sum`]. The
-    /// offsets must already sit on the register grid (see
-    /// [`OffsetState::quantize`]).
-    ///
-    /// Returns one corrected sum per output column: the integer-domain
-    /// pre-activation `Σᵢ xᵢ·NRWᵢ`, with NRW the offset-applied CTWs of
-    /// [`OffsetState::apply`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] if `x` does not match the
-    /// fan-in or exceeds `input_bits`, if an offset is off the register
-    /// grid, or if the CTWs are not valid integers.
-    pub fn readout_qint(&self, cfg: &OffsetConfig, x: &[u32], input_bits: u32) -> Result<Vec<i64>> {
-        let layout = self.state.layout().clone();
-        let (fan_in, fan_out) = (layout.fan_in(), layout.fan_out());
-        if x.len() != fan_in {
-            return Err(CoreError::InvalidConfig(format!(
-                "{} inputs for fan-in {fan_in}",
-                x.len()
-            )));
-        }
-        let offsets = self.state.integer_offsets(cfg)?;
-        let ctw = self.ctw_integers(cfg)?;
-        let maxw = cfg.codec.max_weight();
-        let xplanes = rdo_tensor::BitPlanes::pack(x, input_bits)?;
-        let wplanes =
-            rdo_tensor::ColumnPlanes::pack(&ctw, fan_in, fan_out, cfg.codec.weight_bits())?;
-        if rdo_obs::enabled() {
-            rdo_obs::counter_add("core.qint.readouts", 1);
-        }
-        let mut y = vec![0i64; fan_out];
-        for (ri, &(r0, r1)) in layout.row_bounds().iter().enumerate() {
-            // the group's Σxᵢ, straight from popcounts of the input planes
-            let sum_x: i64 = (0..input_bits)
-                .map(|b| i64::from(rdo_tensor::popcount_range(xplanes.plane(b), r0, r1)) << b)
-                .sum();
-            for (c, yv) in y.iter_mut().enumerate() {
-                let g = layout.group_index(ri, c);
-                let z = rdo_tensor::dot_planes_range(&xplanes, &wplanes, c, r0, r1) as i64;
-                *yv += crate::offsets::correct_group_sum(
-                    z,
-                    sum_x,
-                    offsets[g],
-                    self.state.is_complemented(g),
-                    maxw,
-                );
-            }
-        }
-        Ok(y)
-    }
 }
 
 /// A network mapped onto digital-offset crossbars.
@@ -770,26 +686,6 @@ mod tests {
             .collect()
     }
 
-    /// Float oracle of [`MappedLayer::readout_qint`]: applies the offsets
-    /// with the reference [`OffsetState::apply`] and reduces each column
-    /// with an `f64` dot product. For quantized offsets every intermediate
-    /// is an integer far below 2⁵³, so the two readouts agree **exactly**,
-    /// not just within a tolerance.
-    fn readout_reference(layer: &MappedLayer, cfg: &OffsetConfig, x: &[u32]) -> Result<Vec<f64>> {
-        let layout = layer.state.layout();
-        let (fan_in, fan_out) = (layout.fan_in(), layout.fan_out());
-        if x.len() != fan_in {
-            return Err(CoreError::InvalidConfig(format!(
-                "{} inputs for fan-in {fan_in}",
-                x.len()
-            )));
-        }
-        let nrw = layer.state.apply(&layer.ctw, cfg.codec.max_weight() as f32)?;
-        Ok((0..fan_out)
-            .map(|c| (0..fan_in).map(|r| x[r] as f64 * nrw.data()[r * fan_out + c] as f64).sum())
-            .collect())
-    }
-
     fn setup_device(sigma: f64, device: DeviceModelSpec) -> (OffsetConfig, DeviceLut) {
         let cfg = OffsetConfig::with_device(CellKind::Slc, sigma, 16, device).unwrap();
         let lut = DeviceLut::analytic(&*cfg.device_model(), &cfg.codec).unwrap();
@@ -1129,73 +1025,6 @@ mod tests {
         // while program() resets them
         mapped.program(&mut seeded_rng(3)).unwrap();
         assert!(mapped.layers()[0].state.offsets().iter().all(|&b| b == 0.0));
-    }
-
-    /// The integer layer readout equals the float oracle exactly on every
-    /// state a programming cycle produces: freshly mapped, after
-    /// `program`, and after PWT, for Plain, PWT, VAWO\* and VAWO\*+PWT on
-    /// SLC and MLC2 cells. Among them are complemented groups and negative
-    /// offsets (plain PWT's mean-matching start).
-    #[test]
-    fn integer_readout_matches_float_reference_exactly() {
-        let mut rng = seeded_rng(21);
-        let images = randn(&[48, 6], 0.0, 1.0, &mut rng);
-        let labels: Vec<usize> = (0..48).map(|i| i % 3).collect();
-        let pwt = crate::pwt::PwtConfig { epochs: 2, ..Default::default() };
-        let mut net = mlp(15);
-        let grads = fake_grads(&mut net);
-        let mut cases = Vec::new();
-        for kind in [CellKind::Slc, CellKind::Mlc2] {
-            let cfg = OffsetConfig::paper(kind, 0.5, 16).unwrap();
-            let lut = DeviceLut::analytic(&VariationModel::per_weight(0.5), &cfg.codec).unwrap();
-            for method in [Method::Plain, Method::Pwt, Method::VawoStar, Method::VawoStarPwt] {
-                let g = method.uses_vawo().then_some(grads.as_slice());
-                let mut mapped = MappedNetwork::map(&net, method, &cfg, &lut, g).unwrap();
-                cases.push(mapped.clone());
-                mapped.program(&mut seeded_rng(9)).unwrap();
-                cases.push(mapped.clone());
-                if method.uses_pwt() {
-                    crate::pwt::tune(&mut mapped, &images, &labels, &pwt).unwrap();
-                    cases.push(mapped);
-                }
-            }
-        }
-        let (mut complemented, mut negative) = (0, 0);
-        for mapped in &cases {
-            let cfg = mapped.config();
-            for (li, layer) in mapped.layers().iter().enumerate() {
-                let mut probe = layer.clone();
-                probe.state.quantize(cfg);
-                let layout = probe.state.layout();
-                complemented +=
-                    (0..layout.group_count()).filter(|&g| probe.state.is_complemented(g)).count();
-                negative += probe.state.offsets().iter().filter(|&&b| b < 0.0).count();
-                let x: Vec<u32> =
-                    (0..layout.fan_in()).map(|r| ((r * 41 + li * 17 + 7) % 256) as u32).collect();
-                let yq = probe.readout_qint(cfg, &x, 8).unwrap();
-                let yf = readout_reference(&probe, cfg, &x).unwrap();
-                assert_eq!(yq.len(), yf.len());
-                for (a, b) in yq.iter().zip(&yf) {
-                    assert_eq!(*a as f64, *b, "integer vs float readout ({:?})", mapped.method());
-                }
-            }
-        }
-        assert!(complemented > 0, "no complemented group among the fixtures");
-        assert!(negative > 0, "no negative offset among the fixtures");
-    }
-
-    #[test]
-    fn integer_readout_requires_quantized_offsets() {
-        let (cfg, lut) = setup(0.5);
-        let net = mlp(16);
-        let mapped = MappedNetwork::map(&net, Method::Plain, &cfg, &lut, None).unwrap();
-        let mut layer = mapped.layers()[0].clone();
-        layer.state.offsets_mut()[0] = 0.5; // off the register grid
-        let x = vec![1u32; layer.state.layout().fan_in()];
-        assert!(layer.readout_qint(&cfg, &x, 8).is_err());
-        // wrong input length rejected too
-        assert!(mapped.layers()[0].readout_qint(&cfg, &[1, 2], 8).is_err());
-        assert!(readout_reference(&mapped.layers()[0], &cfg, &[1, 2]).is_err());
     }
 
     #[test]

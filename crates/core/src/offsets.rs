@@ -368,52 +368,6 @@ impl OffsetState {
             *b = b.round().clamp(lo, hi);
         }
     }
-
-    /// The offsets as the signed integers a hardware register would hold,
-    /// group-major. This is the entry point of the integer readout path:
-    /// it insists the state has already been snapped to the register grid
-    /// (see [`OffsetState::quantize`] — PWT always quantizes before
-    /// deployment) rather than silently rounding.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] if any offset is non-integral
-    /// or outside `cfg`'s register range.
-    pub fn integer_offsets(&self, cfg: &OffsetConfig) -> Result<Vec<i32>> {
-        let (lo, hi) = (cfg.offset_min(), cfg.offset_max());
-        self.offsets
-            .iter()
-            .enumerate()
-            .map(|(g, &b)| {
-                if b.fract() != 0.0 || b < lo as f32 || b > hi as f32 {
-                    return Err(CoreError::InvalidConfig(format!(
-                        "offset {b} of group {g} is not on the [{lo}, {hi}] register grid"
-                    )));
-                }
-                Ok(b as i32)
-            })
-            .collect()
-    }
-}
-
-/// Applies one group's digital-offset correction to an integer group sum,
-/// exactly as the offset unit does it: with `z = Σᵢ xᵢ·CRWᵢ` the raw
-/// crossbar readout of the group and `Σxᵢ = sum_x` its input popcount,
-///
-/// - normal group: `z + b·Σxᵢ` (the paper's Eq. 3 correction), and
-/// - complemented group: `maxw·Σxᵢ − (z + b·Σxᵢ)` — the ISAAC-style
-///   `(2ⁿ−1)·Σxᵢ − z'` complement arm, since the array stores
-///   `maxw − (CRW + b)`.
-///
-/// All arithmetic is exact `i64`; this is the integer twin of
-/// [`OffsetState::apply`] folded through the dot product.
-pub fn correct_group_sum(z: i64, sum_x: i64, b: i32, complemented: bool, max_weight: u32) -> i64 {
-    let corrected = z + i64::from(b) * sum_x;
-    if complemented {
-        i64::from(max_weight) * sum_x - corrected
-    } else {
-        corrected
-    }
 }
 
 #[cfg(test)]
@@ -508,15 +462,24 @@ mod tests {
         assert_eq!(st.offset(0), 3.0);
     }
 
-    #[test]
-    fn integer_offsets_require_a_quantized_state() {
-        let layout = GroupLayout::new(4, 2, &cfg(16)).unwrap();
-        let mut st = OffsetState::from_parts(layout, vec![3.0, -7.5], vec![false, true]).unwrap();
-        assert!(st.integer_offsets(&cfg(16)).is_err()); // −7.5 not integral
-        st.quantize(&cfg(16));
-        assert_eq!(st.integer_offsets(&cfg(16)).unwrap(), vec![3, -8]);
-        st.offsets_mut()[0] = 400.0; // integral but off the register grid
-        assert!(st.integer_offsets(&cfg(16)).is_err());
+    /// Applies one group's digital-offset correction to an integer group
+    /// sum, exactly as the offset unit does it: with `z = Σᵢ xᵢ·CRWᵢ` the
+    /// raw crossbar readout of the group and `Σxᵢ = sum_x` its input sum,
+    ///
+    /// - normal group: `z + b·Σxᵢ` (the paper's Eq. 3 correction), and
+    /// - complemented group: `maxw·Σxᵢ − (z + b·Σxᵢ)` — the ISAAC-style
+    ///   `(2ⁿ−1)·Σxᵢ − z'` complement arm, since the array stores
+    ///   `maxw − (CRW + b)`.
+    ///
+    /// All arithmetic is exact `i64`; this is the integer twin of
+    /// [`OffsetState::apply`] folded through the dot product.
+    fn correct_group_sum(z: i64, sum_x: i64, b: i32, complemented: bool, max_weight: u32) -> i64 {
+        let corrected = z + i64::from(b) * sum_x;
+        if complemented {
+            i64::from(max_weight) * sum_x - corrected
+        } else {
+            corrected
+        }
     }
 
     #[test]
@@ -534,6 +497,103 @@ mod tests {
             let expect: i64 = (0..4).map(|r| x[r] * nrw.data()[r] as i64).sum();
             assert_eq!(correct_group_sum(z, sum_x, b, comp, 255), expect, "b={b} comp={comp}");
         }
+    }
+
+    /// The `z + b·Σx` datapath is exact on every state a programming cycle
+    /// produces: freshly mapped, after `program`, and after PWT, for Plain,
+    /// PWT, VAWO\* and VAWO\*+PWT on SLC and MLC2 cells, with the offsets
+    /// snapped to the register grid. Each layer's integer group sums of the
+    /// stored CTWs, corrected per group, equal the `f64` dot product of the
+    /// same input with [`OffsetState::apply`]'s NRWs bit for bit. Among the
+    /// states are complemented groups and negative offsets (plain PWT's
+    /// mean-matching start).
+    #[test]
+    fn group_sums_match_float_apply_exactly_on_mapped_states() {
+        use crate::config::Method;
+        use crate::gradient::extract_core_weights;
+        use crate::mapping::MappedNetwork;
+        use crate::pwt::{tune, PwtConfig};
+        use rdo_nn::{Linear, Relu, Sequential};
+        use rdo_rram::{DeviceLut, VariationModel};
+        use rdo_tensor::rng::randn;
+
+        let mut rng = seeded_rng(21);
+        let images = randn(&[48, 6], 0.0, 1.0, &mut rng);
+        let labels: Vec<usize> = (0..48).map(|i| i % 3).collect();
+        let pwt = PwtConfig { epochs: 2, ..Default::default() };
+        let mut net_rng = seeded_rng(15);
+        let mut net = Sequential::new();
+        net.push(Linear::new(6, 8, &mut net_rng));
+        net.push(Relu::new());
+        net.push(Linear::new(8, 3, &mut net_rng));
+        let grads: Vec<Tensor> = extract_core_weights(&mut net)
+            .iter()
+            .map(|w| Tensor::from_fn(w.dims(), |i| 0.01 * ((i % 13) as f32 - 6.0)))
+            .collect();
+        let mut cases = Vec::new();
+        for kind in [CellKind::Slc, CellKind::Mlc2] {
+            let cfg = OffsetConfig::paper(kind, 0.5, 16).unwrap();
+            let lut = DeviceLut::analytic(&VariationModel::per_weight(0.5), &cfg.codec).unwrap();
+            for method in [Method::Plain, Method::Pwt, Method::VawoStar, Method::VawoStarPwt] {
+                let g = method.uses_vawo().then_some(grads.as_slice());
+                let mut mapped = MappedNetwork::map(&net, method, &cfg, &lut, g).unwrap();
+                cases.push(mapped.clone());
+                mapped.program(&mut seeded_rng(9)).unwrap();
+                cases.push(mapped.clone());
+                if method.uses_pwt() {
+                    tune(&mut mapped, &images, &labels, &pwt).unwrap();
+                    cases.push(mapped);
+                }
+            }
+        }
+        let (mut complemented, mut negative) = (0, 0);
+        for mapped in &cases {
+            let cfg = mapped.config();
+            let maxw = cfg.codec.max_weight();
+            for (li, layer) in mapped.layers().iter().enumerate() {
+                let mut st = layer.state.clone();
+                st.quantize(cfg);
+                let layout = st.layout();
+                let (fan_in, fan_out) = (layout.fan_in(), layout.fan_out());
+                complemented +=
+                    (0..layout.group_count()).filter(|&g| st.is_complemented(g)).count();
+                negative += st.offsets().iter().filter(|&&b| b < 0.0).count();
+                let x: Vec<i64> =
+                    (0..fan_in).map(|r| ((r * 41 + li * 17 + 7) % 256) as i64).collect();
+                let ctw: Vec<i64> = layer
+                    .ctw
+                    .data()
+                    .iter()
+                    .map(|&v| {
+                        assert!(v.fract() == 0.0 && (0.0..=maxw as f32).contains(&v), "CTW {v}");
+                        v as i64
+                    })
+                    .collect();
+                let mut y = vec![0i64; fan_out];
+                for (ri, &(r0, r1)) in layout.row_bounds().iter().enumerate() {
+                    let sum_x: i64 = x[r0..r1].iter().sum();
+                    for (c, yv) in y.iter_mut().enumerate() {
+                        let g = layout.group_index(ri, c);
+                        let z: i64 = (r0..r1).map(|r| x[r] * ctw[r * fan_out + c]).sum();
+                        let b = st.offset(g) as i32;
+                        *yv += correct_group_sum(z, sum_x, b, st.is_complemented(g), maxw);
+                    }
+                }
+                let nrw = st.apply(&layer.ctw, maxw as f32).unwrap();
+                for (c, &yc) in y.iter().enumerate() {
+                    let yf: f64 =
+                        (0..fan_in).map(|r| x[r] as f64 * nrw.data()[r * fan_out + c] as f64).sum();
+                    assert_eq!(
+                        yc as f64,
+                        yf,
+                        "integer vs float group sums ({:?})",
+                        mapped.method()
+                    );
+                }
+            }
+        }
+        assert!(complemented > 0, "no complemented group among the fixtures");
+        assert!(negative > 0, "no negative offset among the fixtures");
     }
 
     #[test]

@@ -231,12 +231,6 @@ impl Residual {
     pub fn shortcut(&self) -> &Sequential {
         &self.shortcut
     }
-
-    /// Mutable access to both branches `(main, shortcut)` — used by the
-    /// crossbar mapper to rewrite nested core layers.
-    pub fn branches_mut(&mut self) -> (&mut Sequential, &mut Sequential) {
-        (&mut self.main, &mut self.shortcut)
-    }
 }
 
 impl Layer for Residual {

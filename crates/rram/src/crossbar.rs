@@ -1,19 +1,16 @@
-//! The physical crossbar array and matrix programming.
+//! Matrix programming: the one path from CTWs to sampled CRWs.
 //!
-//! Two levels of fidelity are exposed (DESIGN.md §6, ablation 5):
-//!
-//! * [`program_matrix`] — the *effective-weight fast path*. It samples one
-//!   CRW per weight and returns a real-valued matrix; downstream VMMs are
-//!   ordinary matrix products. Because Kirchhoff summation is linear and an
-//!   ideal ADC preserves it, this is exact for accuracy experiments.
-//! * [`Crossbar`] — a cell-level array holding per-cell levels and noisy
-//!   conductances, supporting partial-wordline analog VMMs for the
-//!   bit-serial ADC pipeline in [`crate::adc`].
+//! [`program_matrix`] samples one CRW per weight under any
+//! [`DeviceModel`] and returns a real-valued matrix; downstream VMMs are
+//! ordinary matrix products. Because Kirchhoff summation is linear and an
+//! ideal ADC preserves it, this is exact for accuracy experiments.
+//! [`program_matrix_with_ddv`] is the DDV ablation's variant, and
+//! [`CrossbarSpec`] holds the array dimensions the tiling uses.
 
 use std::cell::RefCell;
 
 use rdo_tensor::rng::Rng;
-use rdo_tensor::{microkernel, Scratch, Tensor};
+use rdo_tensor::{Scratch, Tensor};
 
 use crate::codec::WeightCodec;
 use crate::device_model::DeviceModel;
@@ -218,225 +215,6 @@ pub fn program_matrix_with_ddv(
     Ok(out)
 }
 
-/// A cell-level crossbar array: programmed levels plus realized (noisy)
-/// conductances, in step units including the HRS floor.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Crossbar {
-    spec: CrossbarSpec,
-    codec: WeightCodec,
-    /// Programmed level per cell, row-major `(rows, cols)`.
-    levels: Vec<u32>,
-    /// Realized conductance per cell (after variation), same layout.
-    conductance: Vec<f64>,
-    /// Number of weight columns actually in use.
-    used_weight_cols: usize,
-    /// Number of rows actually in use.
-    used_rows: usize,
-}
-
-impl Crossbar {
-    /// Programs a block of integer weights into a fresh crossbar under
-    /// any [`DeviceModel`].
-    ///
-    /// `ctw_block` is `(rows_used, weight_cols_used)` with
-    /// `rows_used ≤ spec.rows` and
-    /// `weight_cols_used ≤ spec.weight_cols(codec)`. Unused cells stay in
-    /// HRS. Each weight's cells are realized by
-    /// [`DeviceModel::write_cells`], weight by weight in row-major order:
-    /// for the paper's [`crate::VariationKind::PerWeight`] model all cells
-    /// of one weight share one lognormal factor, for
-    /// [`crate::VariationKind::PerCell`] each cell draws its own.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RramError::ShapeMismatch`] if the block exceeds the array,
-    /// [`RramError::WeightOutOfRange`] for unrepresentable weights, or
-    /// [`RramError::InvalidGeometry`] for models without a cell-level form
-    /// (the differential pair).
-    pub fn program(
-        spec: CrossbarSpec,
-        codec: WeightCodec,
-        ctw_block: &Tensor,
-        model: &dyn DeviceModel,
-        rng: &mut Rng,
-    ) -> Result<Self> {
-        if ctw_block.shape().rank() != 2 {
-            return Err(RramError::ShapeMismatch("CTW block must be rank 2".to_string()));
-        }
-        let (used_rows, used_weight_cols) = (ctw_block.dims()[0], ctw_block.dims()[1]);
-        let cpw = codec.cells_per_weight();
-        if used_rows > spec.rows || used_weight_cols * cpw > spec.cols {
-            return Err(RramError::ShapeMismatch(format!(
-                "block {used_rows}×{used_weight_cols} weights exceeds {}×{} array",
-                spec.rows,
-                spec.weight_cols(&codec)
-            )));
-        }
-        if rdo_obs::enabled() {
-            rdo_obs::counter_add("rram.crossbar.program.calls", 1);
-            rdo_obs::counter_add(
-                "rram.crossbar.program.cells",
-                (used_rows * used_weight_cols * cpw) as u64,
-            );
-        }
-        let cell_floor = codec.cell().floor();
-        let mut levels = vec![0u32; spec.rows * spec.cols];
-        let mut conductance = vec![cell_floor; spec.rows * spec.cols];
-        // one slice buffer for the whole array (encode_into is
-        // allocation-free, one call per weight)
-        let mut slices = vec![0u32; cpw];
-        for r in 0..used_rows {
-            for wc in 0..used_weight_cols {
-                let q = ctw_block.at(&[r, wc])?.round();
-                if q < 0.0 || q > codec.max_weight() as f32 {
-                    return Err(RramError::WeightOutOfRange {
-                        value: q.max(0.0) as u32,
-                        levels: codec.weight_levels(),
-                    });
-                }
-                codec.encode_into(q as u32, &mut slices)?;
-                let cells = model.write_cells(&slices, &codec, rng)?;
-                let base = r * spec.cols + wc * cpw;
-                for (j, (&s, g)) in slices.iter().zip(cells).enumerate() {
-                    levels[base + j] = s;
-                    conductance[base + j] = g;
-                }
-            }
-        }
-        Ok(Crossbar { spec, codec, levels, conductance, used_weight_cols, used_rows })
-    }
-
-    /// The array dimensions.
-    pub fn spec(&self) -> CrossbarSpec {
-        self.spec
-    }
-
-    /// The weight codec the array was programmed with.
-    pub fn codec(&self) -> &WeightCodec {
-        &self.codec
-    }
-
-    /// Rows in use.
-    pub fn used_rows(&self) -> usize {
-        self.used_rows
-    }
-
-    /// Weight columns in use.
-    pub fn used_weight_cols(&self) -> usize {
-        self.used_weight_cols
-    }
-
-    /// Programmed level of the cell at `(row, cell_col)`.
-    pub fn level(&self, row: usize, cell_col: usize) -> u32 {
-        self.levels[row * self.spec.cols + cell_col]
-    }
-
-    /// All programmed cell levels, row-major over the full `rows × cols`
-    /// physical array (unused cells are 0).
-    pub fn levels(&self) -> &[u32] {
-        &self.levels
-    }
-
-    /// Realized conductance of the cell at `(row, cell_col)` in step units.
-    pub fn cell_conductance(&self, row: usize, cell_col: usize) -> f64 {
-        self.conductance[row * self.spec.cols + cell_col]
-    }
-
-    /// The calibrated crossbar real weight at `(row, weight_col)`: the
-    /// place-value-weighted sum of its cells' conductances minus the
-    /// nominal floor. This is what a post-writing test measures.
-    pub fn crw(&self, row: usize, weight_col: usize) -> f64 {
-        let cpw = self.codec.cells_per_weight();
-        let mut total = 0.0;
-        for j in 0..cpw {
-            total +=
-                self.codec.place_value(j) as f64 * self.cell_conductance(row, weight_col * cpw + j);
-        }
-        total - self.codec.total_floor()
-    }
-
-    /// All CRWs of the used block as a `(used_rows, used_weight_cols)`
-    /// tensor — the measurement step that precedes PWT.
-    pub fn crw_matrix(&self) -> Tensor {
-        Tensor::from_fn(&[self.used_rows, self.used_weight_cols], |i| {
-            let (r, c) = (i / self.used_weight_cols, i % self.used_weight_cols);
-            self.crw(r, c) as f32
-        })
-    }
-
-    /// Analog partial VMM: bitline currents when wordlines
-    /// `[row_start, row_end)` are driven with voltages `x` and all other
-    /// wordlines are off. Returns one current per *cell column*, in
-    /// step-unit conductance times input units (the floor is **not**
-    /// subtracted — that calibration happens digitally downstream).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RramError::ShapeMismatch`] if the input length does not
-    /// equal the active row count or the range is invalid.
-    pub fn bitline_currents(
-        &self,
-        x: &[f32],
-        row_start: usize,
-        row_end: usize,
-    ) -> Result<Vec<f64>> {
-        let mut currents = vec![0.0f64; self.spec.cols];
-        self.bitline_currents_into(x, row_start, row_end, &mut currents)?;
-        Ok(currents)
-    }
-
-    /// [`bitline_currents`](Self::bitline_currents) into a caller-owned
-    /// buffer, **accumulating** onto whatever is already there — pass a
-    /// zeroed buffer for plain currents. This is the allocation-free entry
-    /// the bit-serial ADC uses once per wordline group per input bit.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RramError::ShapeMismatch`] if the input length does not
-    /// equal the active row count, the range is invalid, or `out` is not
-    /// one element per cell column.
-    pub fn bitline_currents_into(
-        &self,
-        x: &[f32],
-        row_start: usize,
-        row_end: usize,
-        out: &mut [f64],
-    ) -> Result<()> {
-        if row_start > row_end || row_end > self.spec.rows || x.len() != row_end - row_start {
-            return Err(RramError::ShapeMismatch(format!(
-                "active rows {row_start}..{row_end} with {} inputs",
-                x.len()
-            )));
-        }
-        if out.len() != self.spec.cols {
-            return Err(RramError::ShapeMismatch(format!(
-                "bitline buffer holds {} columns, crossbar has {}",
-                out.len(),
-                self.spec.cols
-            )));
-        }
-        let cols = self.spec.cols;
-        let block = &self.conductance[row_start * cols..row_end * cols];
-        microkernel::gevm_into_f64(x, block, out, x.len(), cols);
-        Ok(())
-    }
-
-    /// Total relative read power of the used block: the sum of nominal
-    /// cell conductances over all used cells (power ∝ conductance at a
-    /// fixed read voltage). Used by the Table I reading-power study.
-    pub fn read_power(&self) -> f64 {
-        let cpw = self.codec.cells_per_weight();
-        let cell_floor = self.codec.cell().floor();
-        let mut total = 0.0;
-        for r in 0..self.used_rows {
-            for c in 0..self.used_weight_cols * cpw {
-                total += self.levels[r * self.spec.cols + c] as f64 + cell_floor;
-            }
-        }
-        total
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -498,19 +276,6 @@ mod tests {
 
     fn codec() -> WeightCodec {
         WeightCodec::paper(CellTechnology::paper(CellKind::Slc))
-    }
-
-    #[test]
-    fn program_accepts_every_cell_level_model() {
-        use crate::device_model::{DeviceModelSpec, DiffBase, LevelLognormalModel};
-        let spec = CrossbarSpec::new(8, 32);
-        let ctw = Tensor::from_fn(&[5, 3], |i| ((i * 53 + 11) % 256) as f32);
-        let level = LevelLognormalModel::new(0.2, 0.4, 0.01);
-        let xb = Crossbar::program(spec, codec(), &ctw, &level, &mut seeded_rng(31)).unwrap();
-        assert_eq!(xb.used_rows(), 5);
-        // models without a cell-level form are rejected
-        let diff = DeviceModelSpec::DiffPair { base: DiffBase::Paper }.build(0.5);
-        assert!(Crossbar::program(spec, codec(), &ctw, &*diff, &mut seeded_rng(31)).is_err());
     }
 
     #[test]
@@ -597,134 +362,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn cell_array_crw_matches_fast_path_statistics() {
-        // the detailed array's CRW must be distributed like the fast path
-        let c = codec();
-        let model = VariationModel::per_weight(0.3);
-        let mut rng = seeded_rng(1);
-        let ctw = Tensor::full(&[64, 4], 100.0);
-        let mut crws = Vec::new();
-        for _ in 0..40 {
-            let xb = Crossbar::program(CrossbarSpec::default(), c, &ctw, &model, &mut rng).unwrap();
-            let m = xb.crw_matrix();
-            crws.extend(m.data().iter().map(|&v| v as f64));
-        }
-        let n = crws.len() as f64;
-        let mean = crws.iter().sum::<f64>() / n;
-        let (am, _) = model.moments(100, &c).unwrap();
-        assert!((mean - am).abs() / am < 0.02, "{mean} vs {am}");
-    }
-
-    #[test]
-    fn crw_matrix_zero_sigma_recovers_ctw() {
-        let c = codec();
-        let ctw = Tensor::from_fn(&[8, 3], |i| ((i * 37) % 256) as f32);
-        let xb = Crossbar::program(
-            CrossbarSpec::default(),
-            c,
-            &ctw,
-            &VariationModel::per_weight(0.0),
-            &mut seeded_rng(2),
-        )
-        .unwrap();
-        let m = xb.crw_matrix();
-        for (a, b) in ctw.data().iter().zip(m.data()) {
-            assert!((a - b).abs() < 1e-3, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn bitline_currents_linear_in_inputs() {
-        let c = codec();
-        let ctw = Tensor::from_fn(&[4, 2], |i| (i * 31 % 256) as f32);
-        let xb = Crossbar::program(
-            CrossbarSpec::default(),
-            c,
-            &ctw,
-            &VariationModel::per_weight(0.2),
-            &mut seeded_rng(3),
-        )
-        .unwrap();
-        let x1 = [1.0f32, 0.0, 2.0, 0.5];
-        let x2 = [0.5f32, 1.5, 0.0, 1.0];
-        let i1 = xb.bitline_currents(&x1, 0, 4).unwrap();
-        let i2 = xb.bitline_currents(&x2, 0, 4).unwrap();
-        let sum: Vec<f32> = x1.iter().zip(&x2).map(|(a, b)| a + b).collect();
-        let i12 = xb.bitline_currents(&sum, 0, 4).unwrap();
-        for k in 0..i12.len() {
-            assert!((i12[k] - (i1[k] + i2[k])).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn partial_activation_covers_rows_in_pieces() {
-        let c = codec();
-        let ctw = Tensor::from_fn(&[8, 2], |i| (i * 13 % 256) as f32);
-        let xb = Crossbar::program(
-            CrossbarSpec::default(),
-            c,
-            &ctw,
-            &VariationModel::per_weight(0.4),
-            &mut seeded_rng(4),
-        )
-        .unwrap();
-        let x: Vec<f32> = (0..8).map(|i| i as f32 * 0.25).collect();
-        let full = xb.bitline_currents(&x, 0, 8).unwrap();
-        let a = xb.bitline_currents(&x[0..4], 0, 4).unwrap();
-        let b = xb.bitline_currents(&x[4..8], 4, 8).unwrap();
-        for k in 0..full.len() {
-            assert!((full[k] - (a[k] + b[k])).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn oversized_block_rejected() {
-        let c = codec();
-        let spec = CrossbarSpec::new(4, 16); // 2 weight columns for SLC-8
-        let ctw = Tensor::zeros(&[4, 3]);
-        assert!(Crossbar::program(
-            spec,
-            c,
-            &ctw,
-            &VariationModel::per_weight(0.1),
-            &mut seeded_rng(0)
-        )
-        .is_err());
-        let tall = Tensor::zeros(&[5, 2]);
-        assert!(Crossbar::program(
-            spec,
-            c,
-            &tall,
-            &VariationModel::per_weight(0.1),
-            &mut seeded_rng(0)
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn read_power_higher_for_large_weights() {
-        let c = codec();
-        let model = VariationModel::per_weight(0.0);
-        let low = Crossbar::program(
-            CrossbarSpec::default(),
-            c,
-            &Tensor::full(&[16, 4], 1.0),
-            &model,
-            &mut seeded_rng(0),
-        )
-        .unwrap();
-        let high = Crossbar::program(
-            CrossbarSpec::default(),
-            c,
-            &Tensor::full(&[16, 4], 255.0),
-            &model,
-            &mut seeded_rng(0),
-        )
-        .unwrap();
-        assert!(high.read_power() > 5.0 * low.read_power());
     }
 
     #[test]

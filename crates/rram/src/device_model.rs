@@ -3,10 +3,9 @@
 //! The paper's lognormal CCV model ([`VariationModel`]) is one point in a
 //! larger space of published RRAM write-noise models. This trait puts one
 //! interface in front of that space, so there is one programming path:
-//! [`crate::program_matrix`] for whole matrices, [`crate::Crossbar::program`]
-//! for cell-level arrays and [`crate::DeviceLut::analytic`] for the device
-//! LUT all take a `&dyn DeviceModel`, and the paper's model is simply the
-//! default member.
+//! [`crate::program_matrix`] programs whole matrices and
+//! [`crate::DeviceLut::analytic`] builds the device LUT, both from a
+//! `&dyn DeviceModel`, and the paper's model is simply the default member.
 //!
 //! # The zoo
 //!
@@ -120,26 +119,6 @@ pub trait DeviceModel: fmt::Debug + Send + Sync {
             *o = self.write(v as u32, codec, rng)? as f32;
         }
         Ok(out)
-    }
-
-    /// Samples realized conductances (floor included, step units) for the
-    /// cells of **one weight**, given its already-encoded per-cell levels
-    /// — the cell-granular entry [`crate::Crossbar::program`] uses.
-    /// Levels are trusted (the crossbar validates them before encoding).
-    ///
-    /// The default declines: not every model decomposes into independent
-    /// single-array cells (the differential pair does not).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RramError::InvalidGeometry`] if the model has no
-    /// cell-level form.
-    fn write_cells(&self, levels: &[u32], codec: &WeightCodec, rng: &mut Rng) -> Result<Vec<f64>> {
-        let _ = (levels, codec, rng);
-        Err(RramError::InvalidGeometry(format!(
-            "device model `{}` does not support cell-level programming",
-            self.name()
-        )))
     }
 
     /// Evolves already-programmed CRWs in place over time (retention /
@@ -349,16 +328,6 @@ impl DeviceModel for LevelLognormalModel {
         }
         Ok(out)
     }
-
-    fn write_cells(&self, levels: &[u32], codec: &WeightCodec, rng: &mut Rng) -> Result<Vec<f64>> {
-        let sampler = self.sampler(codec.cell());
-        let mut stuck = 0u64;
-        let out = levels.iter().map(|&s| sampler.sample(s, rng, &mut stuck)).collect();
-        if rdo_obs::enabled() {
-            rdo_obs::counter_add("rram.device_model.stuck_cells", stuck);
-        }
-        Ok(out)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -484,14 +453,6 @@ impl DeviceModel for DriftRelaxModel {
             rdo_obs::counter_add("rram.device_model.relax_steps", entries.len() as u64);
         }
         Ok(out)
-    }
-
-    /// Draw order: θ then ε once per weight, shared across its cells.
-    fn write_cells(&self, levels: &[u32], codec: &WeightCodec, rng: &mut Rng) -> Result<Vec<f64>> {
-        let cell_floor = codec.cell().floor();
-        let tf = self.theta_factor(rng);
-        let rf = self.relax_factor(rng);
-        Ok(levels.iter().map(|&s| ((s as f64 + cell_floor) * tf * rf).max(0.0)).collect())
     }
 
     fn evolve(&self, crw: &mut Tensor, codec: &WeightCodec, time_ratio: f64) -> Result<()> {
@@ -1042,13 +1003,6 @@ mod tests {
         let mut crw2 = before.clone();
         paper.evolve(&mut crw2, &c, 100.0).unwrap();
         assert_eq!(crw2, before);
-    }
-
-    #[test]
-    fn diff_pair_declines_cell_level_programming() {
-        let c = codec(CellKind::Slc);
-        let model = DeviceModelSpec::DiffPair { base: DiffBase::Paper }.build(0.5);
-        assert!(model.write_cells(&[1, 0, 1], &c, &mut seeded_rng(0)).is_err());
     }
 
     #[test]

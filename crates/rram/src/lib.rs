@@ -9,9 +9,7 @@
 //! ([`VariationModel`], the default member of the [`DeviceModel`] zoo
 //! that [`program_matrix`] programs through), the device statistics LUT
 //! with both closed-form and measured construction ([`DeviceLut`]),
-//! cell-level crossbars with
-//! partial wordline activation ([`Crossbar`]), an ISAAC-style bit-serial
-//! ADC pipeline ([`BitSerialEvaluator`]) and matrix-to-crossbar tiling
+//! crossbar dimensions ([`CrossbarSpec`]) and matrix-to-crossbar tiling
 //! ([`TileMapping`]).
 //!
 //! # Examples
@@ -35,7 +33,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod adc;
 mod codec;
 mod crossbar;
 mod device;
@@ -47,11 +44,8 @@ mod lut;
 mod tile_map;
 mod variation;
 
-pub use adc::{Adc, BitSerialEvaluator};
 pub use codec::WeightCodec;
-pub use crossbar::{
-    program_matrix, program_matrix_with_ddv, sample_ddv_factors, Crossbar, CrossbarSpec,
-};
+pub use crossbar::{program_matrix, program_matrix_with_ddv, sample_ddv_factors, CrossbarSpec};
 pub use device::{CellKind, CellTechnology};
 pub use device_model::{
     DeviceModel, DeviceModelSpec, DiffBase, DifferentialPairModel, DriftRelaxModel,

@@ -261,23 +261,6 @@ impl DeviceModel for VariationModel {
         }
         Ok(out)
     }
-
-    /// Draw order per weight: one shared factor first (skipped at σ = 0),
-    /// then — per-cell kind only — one fresh factor per cell.
-    fn write_cells(&self, levels: &[u32], codec: &WeightCodec, rng: &mut Rng) -> Result<Vec<f64>> {
-        let cell_floor = codec.cell().floor();
-        let shared = self.sample_factor(rng);
-        Ok(levels
-            .iter()
-            .map(|&s| {
-                let factor = match self.kind {
-                    VariationKind::PerWeight => shared,
-                    VariationKind::PerCell => self.sample_factor(rng),
-                };
-                (s as f64 + cell_floor) * factor
-            })
-            .collect())
-    }
 }
 
 #[cfg(test)]

@@ -43,7 +43,6 @@ pub mod matmul;
 pub mod microkernel;
 pub mod parallel;
 pub mod pool;
-pub mod qint;
 pub mod rng;
 pub mod scratch;
 
@@ -55,7 +54,6 @@ pub use error::{Result, TensorError};
 pub use matmul::{auto_threads, matmul, matmul_into, matmul_into_threads, vecmat};
 pub use microkernel::PackedA;
 pub use parallel::{available_threads, parallel_map_indexed, resolve_threads};
-pub use qint::{dot_planes_range, popcount_range, BitPlanes, ColumnPlanes};
 pub use scratch::Scratch;
 pub use shape::Shape;
 pub use tensor::Tensor;

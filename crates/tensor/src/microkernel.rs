@@ -3,9 +3,7 @@
 //! This module is the single canonical inner kernel behind every dense
 //! product in the workspace: [`crate::matmul()`] and friends route here, the
 //! `rdo-nn` layers call the layout-aware entry points directly (so forward
-//! and backward passes never materialize a transposed weight matrix), and
-//! the RRAM ADC path shares the [`gevm_into_f64`] column-accumulation
-//! kernel.
+//! and backward passes never materialize a transposed weight matrix).
 //!
 //! # Kernel architecture
 //!
@@ -816,26 +814,6 @@ fn rank1(
     });
 }
 
-/// `f64` column accumulation `c (n) += Σᵢ x[i] · B[i·n + j]` shared with
-/// the RRAM bit-line current model (`Crossbar::bitline_currents`), where
-/// conductances are `f64`. Serial by design — the ADC path is called per
-/// wordline group inside already-parallel cycle evaluation.
-pub fn gevm_into_f64(x: &[f32], b: &[f64], c: &mut [f64], m: usize, n: usize) {
-    assert_eq!(x.len(), m, "input length");
-    assert_eq!(b.len(), m * n, "matrix length");
-    assert_eq!(c.len(), n, "output length");
-    for (i, &xv) in x.iter().enumerate() {
-        if xv == 0.0 {
-            continue;
-        }
-        let xv = f64::from(xv);
-        let brow = &b[i * n..(i + 1) * n];
-        for (cv, &bv) in c.iter_mut().zip(brow) {
-            *cv += xv * bv;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1039,19 +1017,6 @@ mod tests {
             let mut c_pre = vec![0.0f32; m * n];
             gemm_nt_prepacked(&pa, &bt, &mut c_pre, n, 4, &mut s);
             assert_eq!(c_pre, c_ref, "seed={seed}");
-        }
-    }
-
-    #[test]
-    fn f64_gevm_matches_reference() {
-        let (m, n) = (13, 9);
-        let x: Vec<f32> = (0..m).map(|i| (i % 5) as f32 - 2.0).collect();
-        let b: Vec<f64> = (0..m * n).map(|i| (i % 7) as f64 * 0.25).collect();
-        let mut c = vec![0.0f64; n];
-        gevm_into_f64(&x, &b, &mut c, m, n);
-        for (j, cv) in c.iter().enumerate() {
-            let want: f64 = (0..m).map(|i| f64::from(x[i]) * b[i * n + j]).sum();
-            assert!((cv - want).abs() < 1e-12, "{cv} vs {want}");
         }
     }
 }

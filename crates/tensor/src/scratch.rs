@@ -77,14 +77,6 @@ impl Scratch {
         self.note_pooled_bytes();
     }
 
-    /// `f64` twin of [`Scratch::take_zeroed`].
-    pub fn take_zeroed_f64(&mut self, len: usize) -> Vec<f64> {
-        let mut buf = self.take_storage_f64(len);
-        buf.clear();
-        buf.resize(len, 0.0);
-        buf
-    }
-
     /// `f64` twin of [`Scratch::take`].
     pub fn take_f64(&mut self, len: usize) -> Vec<f64> {
         let mut buf = self.take_storage_f64(len);
@@ -106,11 +98,6 @@ impl Scratch {
     /// Number of idle buffers currently pooled.
     pub fn pooled(&self) -> usize {
         self.free.len()
-    }
-
-    /// Number of idle `f64` buffers currently pooled.
-    pub fn pooled_f64(&self) -> usize {
-        self.free64.len()
     }
 
     /// Total capacity (in elements) of the idle pooled buffers.
@@ -238,19 +225,18 @@ mod tests {
     #[test]
     fn f64_pool_is_independent_and_reuses_storage() {
         let mut s = Scratch::new();
-        let mut a = s.take_zeroed_f64(100);
-        a.iter_mut().for_each(|v| *v = 7.0);
+        let a = s.take_f64(100);
+        assert_eq!(a.len(), 100);
         let ptr = a.as_ptr();
         s.recycle_f64(a);
-        assert_eq!((s.pooled(), s.pooled_f64()), (0, 1));
-        let b = s.take_zeroed_f64(50);
-        assert_eq!(b.as_ptr(), ptr, "f64 storage not reused");
-        assert!(b.iter().all(|&v| v == 0.0));
         // the f32 pool is untouched by f64 traffic
+        assert_eq!(s.pooled(), 0);
+        let b = s.take_f64(50);
+        assert_eq!((b.len(), b.as_ptr()), (50, ptr), "f64 storage not reused");
         let c = s.take_zeroed(10);
         s.recycle(c);
         s.recycle_f64(b);
-        assert_eq!((s.pooled(), s.pooled_f64()), (1, 1));
+        assert_eq!(s.pooled(), 1);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use rdo_tensor::microkernel::{KC, MR, NR};
 use rdo_tensor::rng::seeded_rng;
 use rdo_tensor::rng::Rng;
-use rdo_tensor::{col2im, im2col, matmul, matmul_into_threads, BitPlanes, Conv2dGeometry, Tensor};
+use rdo_tensor::{col2im, im2col, matmul, matmul_into_threads, Conv2dGeometry, Tensor};
 
 /// Dimensions that straddle the microkernel tile and panel boundaries:
 /// one below, exactly on, and one above each multiple of the tile size.
@@ -207,33 +207,5 @@ fn thread_count_never_changes_bits() {
         matmul_into_threads(&a, &b, &mut serial, m, k, n, 1);
         matmul_into_threads(&a, &b, &mut threaded, m, k, n, threads);
         assert_eq!(serial, threaded, "case {case}: threads={threads}");
-    }
-}
-
-/// Bit-plane packing round-trips every value at every width,
-/// including lengths that straddle the 64-bit word boundary.
-#[test]
-fn bit_planes_pack_unpack_roundtrip() {
-    for case in 0..64 {
-        let mut rng = seeded_rng(case);
-        let (bits, len) = (rng.gen_range(1u32..=32), rng.gen_range(0usize..200));
-        let step = rng.gen_range(0u64..1000).wrapping_mul(0x9e37_79b9).wrapping_add(41);
-        let mask = if bits == 32 { u32::MAX } else { (1u32 << bits) - 1 };
-        let values: Vec<u32> =
-            (0..len).map(|i| ((i as u64).wrapping_mul(step) >> 7) as u32 & mask).collect();
-        let planes = BitPlanes::pack(&values, bits).unwrap();
-        assert_eq!(planes.len(), len, "case {case}");
-        assert_eq!(planes.unpack(), values, "case {case}");
-        // padding bits beyond `len` are zero in every plane
-        for b in 0..bits {
-            let plane = planes.plane(b);
-            for (w, &word) in plane.iter().enumerate() {
-                for s in 0..64 {
-                    if w * 64 + s >= len {
-                        assert_eq!((word >> s) & 1, 0, "case {case}: padding bit set");
-                    }
-                }
-            }
-        }
     }
 }

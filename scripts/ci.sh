@@ -22,8 +22,10 @@ import glob, re, sys
 TEST_ONLY = ["tune_reference", "optimize_matrix_reference", "reduce_gradient",
              "extract_core_gradients", "matmul_into_scalar",
              "program_matrix_with_ddv_scalar", "write_bulk_reference"]
-# deleted: one entry point per operation
-GONE = ["matmul_into_serial", "optimize_matrix_with_threads"]
+# deleted: one entry point per operation, one programming path, one readout
+GONE = ["matmul_into_serial", "optimize_matrix_with_threads", "readout_qint",
+        "write_cells", "bitline_currents", "bitline_currents_into", "gevm_into_f64",
+        "dot_planes_range", "popcount_range"]
 # a shipping helper, private to its crate
 PRIVATE = ["refresh_effective_reference"]
 NAMES = TEST_ONLY + GONE + PRIVATE
@@ -85,8 +87,8 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 echo "==> benchmark shims self-check"
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- shims
 
-echo "==> cargo clippy --offline --workspace -- -D warnings"
-cargo clippy --offline --workspace -- -D warnings
+echo "==> cargo clippy --offline --workspace --all-targets -- -D warnings (test code included)"
+cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc --workspace --no-deps (warnings, e.g. broken intra-doc links, fail)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
