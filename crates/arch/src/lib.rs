@@ -9,11 +9,11 @@
 //! * [`datapath_cost`] / [`tile_overhead`] — the Table II area/power
 //!   overhead accounting, built from calibrated 32 nm unit costs
 //!   ([`UnitCosts`]) in place of the paper's Design Compiler flow.
-//! * [`read_power_of_histogram`] — the Table I state-dependent device
-//!   reading-power model.
 //! * [`CrossbarBudget`] — the Table III normalized crossbar numbers.
-//! * [`PipelineModel`] — cycles, latency and energy of the bit-serial
-//!   schedule per layer and per network.
+//!
+//! Table I's reading power is measured on the mapped network itself
+//! (`MappedNetwork::read_power` in `rdo-core`); [`tile_overhead`] takes
+//! its VAWO\*/plain ratio as an input.
 //!
 //! # Examples
 //!
@@ -32,12 +32,8 @@ mod cost;
 mod crossbars;
 mod isaac;
 mod offset_unit;
-mod pipeline;
-mod power;
 
 pub use cost::{tile_overhead, TileOverhead};
 pub use crossbars::{CrossbarArchitecture, CrossbarBudget};
 pub use isaac::IsaacTile;
 pub use offset_unit::{adder_cost, datapath_cost, AdderCost, OffsetDatapathCost, UnitCosts};
-pub use pipeline::{LayerPlan, NetworkPlan, PipelineModel};
-pub use power::{read_power_of_histogram, relative_read_power, weight_histogram};

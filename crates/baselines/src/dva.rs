@@ -1,5 +1,5 @@
 //! The DVA baseline: variation-aware training (Long et al., "Design of
-//! reliable DNN accelerator with un-reliable ReRAM", DATE 2019 — [9] in
+//! reliable DNN accelerator with un-reliable ReRAM", DATE 2019 — \[9\] in
 //! the paper).
 //!
 //! DVA injects the device's multiplicative lognormal noise into the

@@ -1,6 +1,6 @@
 //! The PM baseline: unary synapse coding on the two-crossbar architecture
 //! (Ma et al., "Go Unary: a novel synapse coding and mapping scheme for
-//! reliable ReRAM-based neuromorphic computing", DATE 2020 — [12] in the
+//! reliable ReRAM-based neuromorphic computing", DATE 2020 — \[12\] in the
 //! paper).
 //!
 //! PM represents each weight's magnitude as the *sum of several

@@ -544,7 +544,8 @@ fn sweep_report(quick: bool) -> Result<BenchRecord> {
     let cfg =
         BenchConfig::builder().cycles(cycles).pwt_epochs(1).seed(7).threads(grid_threads).build();
 
-    // warm the model/LUT caches so no timed grid pays construction
+    // one untimed grid starts the worker pool and touches the buffers, so
+    // no timed grid pays those one-time costs
     run_grid(&model, master.points(), &cfg)?;
 
     let mut rows = Vec::new();

@@ -31,17 +31,14 @@
 //! [`run_grid`] (which takes anything convertible [`Into`] a
 //! [`GridSpec`]) or the generic [`run_items`] engine; per-point results
 //! are identical to a serial run for every thread count. Trained
-//! checkpoints are cached under `target/rdo-cache/`, and within a
-//! process trained models and analytic device LUTs are additionally
-//! shared through bounded keyed in-memory caches
-//! ([`rdo_serve::ArtifactCache`]: [`prepare_lenet`] & friends return
-//! `Arc<TrainedModel>`, [`shared_lut_model`] hands out `Arc<DeviceLut>`
-//! keyed by the model fingerprint), so grid points with identical keys
-//! never rebuild an artifact; [`clear_artifact_caches`] is the explicit
-//! lifecycle hook. Cache traffic, per-point
-//! spans and device/kernel counters are reported through [`rdo_obs`]
-//! when `RDO_OBS` is set; the default is off and observation never
-//! changes stdout or sampled randomness.
+//! checkpoints are cached under `target/rdo-cache/`, so a later process
+//! loads what an earlier one trained ([`prepare_lenet`] & friends). There
+//! is no in-process artifact cache: each binary prepares a model once,
+//! and an analytic device LUT ([`shared_lut_model`]) builds in tens of
+//! microseconds, so every grid point builds its own. Per-point spans and
+//! device/kernel counters are reported through [`rdo_obs`] when
+//! `RDO_OBS` is set; the default is off and observation never changes
+//! stdout or sampled randomness.
 //!
 //! The one-stop import for binaries and downstream code is
 //! [`prelude`]:
@@ -66,7 +63,7 @@ pub mod serve_harness;
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, LazyLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rdo_baselines::BaselineError;
@@ -81,7 +78,7 @@ use rdo_nn::{
     evaluate, fit, Layer, LeNetConfig, NnError, ResNetConfig, Sequential, TrainConfig, VggConfig,
 };
 use rdo_rram::{CellKind, CellTechnology, DeviceLut, DeviceModelSpec, RramError, WeightCodec};
-use rdo_serve::{ArtifactCache, CacheStats, ServeError};
+use rdo_serve::ServeError;
 use rdo_tensor::parallel::{parallel_map_indexed, resolve_threads};
 use rdo_tensor::rng::seeded_rng;
 use rdo_tensor::{Tensor, TensorError};
@@ -391,64 +388,14 @@ fn cache_dir() -> PathBuf {
     dir
 }
 
-/// Per-process cache of trained models, keyed by the same string that
-/// names the on-disk checkpoint. Grid sweeps and the `all` driver call
-/// `prepare_*` once per binary; within a process every further call for
-/// the same (scale, seed) configuration is a map lookup.
-///
-/// Bounded (FIFO) at a capacity far above what any sweep touches, so a
-/// long-running process scanning many seeds cannot grow without bound;
-/// [`clear_artifact_caches`] drops everything explicitly. Cache traffic
-/// and the entry-count high-water mark report through [`rdo_obs`] under
-/// `bench.model_cache.*`.
-static MODEL_CACHE: LazyLock<ArtifactCache<String, TrainedModel>> = LazyLock::new(|| {
-    ArtifactCache::new(
-        32,
-        CacheStats {
-            hit: "bench.model_cache.hit",
-            miss: "bench.model_cache.miss",
-            evict: "bench.model_cache.evict",
-            size_hwm: "bench.model_cache.size_hwm",
-        },
-    )
-});
+/// Does nothing: trained models, device LUTs and serving snapshots are
+/// built on every call, so there is no in-process cache to drop. Kept
+/// only because the `benchmark/` package calls it, until the declared
+/// `benchmark/` change of ROADMAP item 5 removes those calls.
+pub fn clear_artifact_caches() {}
 
-/// Per-process cache of analytic device LUTs. The paper codec is a pure
-/// function of the cell kind and the analytic LUT a pure function of
-/// (codec, device model), so `(cell, model fingerprint)` identifies the
-/// table exactly — the fingerprint covers the model's identity *and* its
-/// parameters, σ included. Grid points sharing a (cell, model, σ) triple
-/// — every m-sweep in Fig. 5 — reuse one table instead of rebuilding it
-/// per point. Bounded (FIFO) at 64 tables; traffic reports under
-/// `bench.lut.*`.
-static LUT_CACHE: LazyLock<ArtifactCache<(CellKind, u64), DeviceLut>> = LazyLock::new(|| {
-    ArtifactCache::new(
-        64,
-        CacheStats {
-            hit: "bench.lut.hit",
-            miss: "bench.lut.miss",
-            evict: "bench.lut.evict",
-            size_hwm: "bench.lut.size_hwm",
-        },
-    )
-});
-
-/// Drops every entry of the in-process artifact caches (trained models
-/// and device LUTs). Outstanding `Arc`s stay valid; the next lookup per
-/// key rebuilds. The explicit lifecycle hook for long-running hosts that
-/// prefer deterministic reclamation over FIFO eviction.
-pub fn clear_artifact_caches() {
-    MODEL_CACHE.clear();
-    LUT_CACHE.clear();
-}
-
-/// Returns the analytic [`DeviceLut`] for the given device-model spec at
-/// `(cell, sigma)`, building it at most once per process per
-/// `(cell, fingerprint)` key.
-///
-/// Concurrent first calls for the same key may both build the table; the
-/// race is benign because the analytic construction is deterministic and
-/// the cache keeps exactly one copy.
+/// Builds the analytic [`DeviceLut`] for the given device-model spec at
+/// `(cell, sigma)`, under the paper codec of `cell`.
 ///
 /// # Errors
 ///
@@ -458,12 +405,8 @@ pub fn shared_lut_model(
     sigma: f64,
     spec: DeviceModelSpec,
 ) -> Result<Arc<DeviceLut>> {
-    let model = spec.build(sigma);
-    let key = (cell, model.fingerprint());
-    LUT_CACHE.get_or_build(key, || {
-        let codec = WeightCodec::paper(CellTechnology::paper(cell));
-        DeviceLut::analytic(&*model, &codec).map_err(BenchError::from)
-    })
+    let codec = WeightCodec::paper(CellTechnology::paper(cell));
+    Ok(Arc::new(DeviceLut::analytic(&*spec.build(sigma), &codec)?))
 }
 
 /// [`shared_lut_model`] for the default paper lognormal model.
@@ -473,19 +416,6 @@ pub fn shared_lut_model(
 /// Propagates LUT construction errors.
 pub fn shared_lut(cell: CellKind, sigma: f64) -> Result<Arc<DeviceLut>> {
     shared_lut_model(cell, sigma, DeviceModelSpec::PaperLognormal)
-}
-
-/// Looks up `cache_key` in the in-process model cache, running `build`
-/// (training or checkpoint load) only on a miss. Same benign-race
-/// contract as [`shared_lut`]: `build` is deterministic for a fixed key.
-/// Public so hosts with their own training recipes (and the cache
-/// concurrency tests) share the same bounded cache the `prepare_*`
-/// helpers use.
-pub fn cached_model<F>(cache_key: &str, build: F) -> Result<Arc<TrainedModel>>
-where
-    F: FnOnce() -> Result<TrainedModel>,
-{
-    MODEL_CACHE.get_or_build(cache_key.to_string(), build)
 }
 
 /// Saves every state tensor of a network bit for bit: a little-endian
@@ -550,7 +480,7 @@ fn train_or_load(
     train: Dataset,
     test: Dataset,
     tc: &TrainConfig,
-) -> Result<TrainedModel> {
+) -> Result<Arc<TrainedModel>> {
     let _span = rdo_obs::span_with("bench.train_or_load", || cache_key.to_string());
     let path = cache_dir().join(format!("{cache_key}.ckpt"));
     let start = Instant::now();
@@ -568,7 +498,8 @@ fn train_or_load(
     let ideal_accuracy = evaluate(&mut net, test.images(), test.labels(), 64)?;
     eprintln!("[{name}] ideal accuracy {:.2}%", 100.0 * ideal_accuracy);
     let grads = mean_core_gradients(&mut net, train.images(), train.labels(), 64)?;
-    Ok(TrainedModel { name: name.to_string(), net, train, test, ideal_accuracy, grads, train_time })
+    let name = name.to_string();
+    Ok(Arc::new(TrainedModel { name, net, train, test, ideal_accuracy, grads, train_time }))
 }
 
 /// Prepares the LeNet + digits workload (the paper's LeNet + MNIST).
@@ -583,13 +514,11 @@ pub fn prepare_lenet(cfg: &BenchConfig) -> Result<Arc<TrainedModel>> {
         Scale::Paper => (300, 20),
     };
     let cache_key = format!("lenet_{per_class}_{epochs}_{seed}");
-    cached_model(&cache_key, || {
-        let ds = generate_digits(&DigitsConfig { per_class, seed, ..Default::default() })?;
-        let (train, test) = ds.split(2.0 / 3.0)?;
-        let net = LeNetConfig::classic().build(&mut seeded_rng(seed.wrapping_add(1)))?;
-        let tc = TrainConfig { epochs, lr: 0.08, weight_decay: 0.0, seed, ..Default::default() };
-        train_or_load("LeNet", &cache_key, net, train, test, &tc)
-    })
+    let ds = generate_digits(&DigitsConfig { per_class, seed, ..Default::default() })?;
+    let (train, test) = ds.split(2.0 / 3.0)?;
+    let net = LeNetConfig::classic().build(&mut seeded_rng(seed.wrapping_add(1)))?;
+    let tc = TrainConfig { epochs, lr: 0.08, weight_decay: 0.0, seed, ..Default::default() };
+    train_or_load("LeNet", &cache_key, net, train, test, &tc)
 }
 
 /// Prepares the ResNet-18 + textures workload (the paper's ResNet-18 +
@@ -605,14 +534,11 @@ pub fn prepare_resnet(cfg: &BenchConfig) -> Result<Arc<TrainedModel>> {
         Scale::Paper => (300, 32, 16, 10),
     };
     let cache_key = format!("resnet_{per_class}_{hw}_{width}_{epochs}_{seed}");
-    cached_model(&cache_key, || {
-        let ds = generate_textures(&TexturesConfig { per_class, hw, seed, ..Default::default() })?;
-        let (train, test) = ds.split(2.0 / 3.0)?;
-        let net =
-            ResNetConfig::resnet18_scaled(width).build(&mut seeded_rng(seed.wrapping_add(2)))?;
-        let tc = TrainConfig { epochs, lr: 0.05, seed, ..Default::default() };
-        train_or_load("ResNet-18", &cache_key, net, train, test, &tc)
-    })
+    let ds = generate_textures(&TexturesConfig { per_class, hw, seed, ..Default::default() })?;
+    let (train, test) = ds.split(2.0 / 3.0)?;
+    let net = ResNetConfig::resnet18_scaled(width).build(&mut seeded_rng(seed.wrapping_add(2)))?;
+    let tc = TrainConfig { epochs, lr: 0.05, seed, ..Default::default() };
+    train_or_load("ResNet-18", &cache_key, net, train, test, &tc)
 }
 
 /// Prepares the VGG-16 + textures workload (the paper's Table III
@@ -628,19 +554,16 @@ pub fn prepare_vgg(cfg: &BenchConfig) -> Result<Arc<TrainedModel>> {
         Scale::Paper => (300, 32, 4, 10),
     };
     let cache_key = format!("vgg_{per_class}_{hw}_{divisor}_{epochs}_{seed}");
-    cached_model(&cache_key, || {
-        let ds = generate_textures(&TexturesConfig {
-            per_class,
-            hw,
-            seed: seed.wrapping_add(7),
-            ..Default::default()
-        })?;
-        let (train, test) = ds.split(2.0 / 3.0)?;
-        let net =
-            VggConfig::vgg16_scaled(divisor, hw).build(&mut seeded_rng(seed.wrapping_add(3)))?;
-        let tc = TrainConfig { epochs, lr: 0.05, seed, ..Default::default() };
-        train_or_load("VGG-16", &cache_key, net, train, test, &tc)
-    })
+    let ds = generate_textures(&TexturesConfig {
+        per_class,
+        hw,
+        seed: seed.wrapping_add(7),
+        ..Default::default()
+    })?;
+    let (train, test) = ds.split(2.0 / 3.0)?;
+    let net = VggConfig::vgg16_scaled(divisor, hw).build(&mut seeded_rng(seed.wrapping_add(3)))?;
+    let tc = TrainConfig { epochs, lr: 0.05, seed, ..Default::default() };
+    train_or_load("VGG-16", &cache_key, net, train, test, &tc)
 }
 
 /// Maps and evaluates one grid point over programming cycles — one bar
@@ -856,10 +779,10 @@ pub mod prelude {
     pub use crate::record::{BenchRecord, BenchRow};
     pub use crate::serve_harness::{paper_shape_snapshot, serve_report, ServeBenchConfig};
     pub use crate::{
-        cached_model, clear_artifact_caches, map_point, pct, prepare_lenet, prepare_resnet,
-        prepare_vgg, run_grid, run_items, run_point, shared_lut, shared_lut_model,
-        write_bench_record, BenchConfig, BenchConfigBuilder, BenchError, GridPoint, GridSpec,
-        Result, Scale, TrainedModel,
+        clear_artifact_caches, map_point, pct, prepare_lenet, prepare_resnet, prepare_vgg,
+        run_grid, run_items, run_point, shared_lut, shared_lut_model, write_bench_record,
+        BenchConfig, BenchConfigBuilder, BenchError, GridPoint, GridSpec, Result, Scale,
+        TrainedModel,
     };
     pub use rdo_core::Method;
     pub use rdo_rram::{CellKind, DeviceModelSpec, DiffBase};
@@ -967,100 +890,22 @@ mod tests {
         assert_eq!(pct(0.9137), "91.37%");
     }
 
+    /// The shared LUT is the analytic table of the named zoo member under
+    /// the paper codec, bit for bit, for every member and cell kind.
     #[test]
-    fn shared_lut_caches_and_matches_direct() {
-        let a = shared_lut(CellKind::Slc, 0.37).unwrap();
-        let b = shared_lut(CellKind::Slc, 0.37).unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "same (cell, σ) key must share one LUT");
-        let other_cell = shared_lut(CellKind::Mlc2, 0.37).unwrap();
-        assert!(!Arc::ptr_eq(&a, &other_cell));
-        let other_sigma = shared_lut(CellKind::Slc, 0.38).unwrap();
-        assert!(!Arc::ptr_eq(&a, &other_sigma));
-        let other_model =
-            shared_lut_model(CellKind::Slc, 0.37, DeviceModelSpec::level_default()).unwrap();
-        assert!(!Arc::ptr_eq(&a, &other_model), "fingerprint must separate zoo members");
-        let codec = WeightCodec::paper(CellTechnology::paper(CellKind::Slc));
-        let direct =
-            DeviceLut::analytic(&rdo_rram::VariationModel::per_weight(0.37), &codec).unwrap();
-        for v in 0..256u32 {
-            assert_eq!(a.mean(v).to_bits(), direct.mean(v).to_bits());
-            assert_eq!(a.var(v).to_bits(), direct.var(v).to_bits());
+    fn shared_lut_model_matches_direct_analytic_table() {
+        let sigma = 0.37;
+        for spec in DeviceModelSpec::all() {
+            for cell in [CellKind::Slc, CellKind::Mlc2] {
+                let shared = shared_lut_model(cell, sigma, spec).unwrap();
+                let codec = WeightCodec::paper(CellTechnology::paper(cell));
+                let direct = DeviceLut::analytic(&*spec.build(sigma), &codec).unwrap();
+                for v in 0..codec.weight_levels() {
+                    assert_eq!(shared.mean(v).to_bits(), direct.mean(v).to_bits(), "{spec} {v}");
+                    assert_eq!(shared.var(v).to_bits(), direct.var(v).to_bits(), "{spec} {v}");
+                }
+            }
         }
-    }
-
-    #[test]
-    fn cached_model_builds_once_per_key() {
-        use rdo_nn::Linear;
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let builds = AtomicUsize::new(0);
-        let tiny = |builds: &AtomicUsize| {
-            builds.fetch_add(1, Ordering::SeqCst);
-            let mut net = Sequential::new();
-            net.push(Linear::new(4, 2, &mut seeded_rng(5)));
-            let images = Tensor::from_fn(&[2, 1, 2, 2], |i| 0.1 * i as f32);
-            let train = Dataset::new(images.clone(), vec![0, 1], 2)?;
-            let test = Dataset::new(images, vec![0, 1], 2)?;
-            Ok(TrainedModel {
-                name: "tiny".to_string(),
-                net,
-                train,
-                test,
-                ideal_accuracy: 0.5,
-                grads: Vec::new(),
-                train_time: Duration::ZERO,
-            })
-        };
-        let a = cached_model("test_cached_model_key", || tiny(&builds)).unwrap();
-        let b = cached_model("test_cached_model_key", || tiny(&builds)).unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "same key must share one model");
-        assert_eq!(builds.load(Ordering::SeqCst), 1, "builder must run once per key");
-        let c = cached_model("test_cached_model_key_2", || tiny(&builds)).unwrap();
-        assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(builds.load(Ordering::SeqCst), 2);
-    }
-
-    #[test]
-    fn cache_counters_account_hits_and_misses() {
-        use rdo_nn::Linear;
-        rdo_obs::set_enabled(true);
-        // Unique keys so concurrent tests can only inflate the deltas,
-        // never deflate them: a fresh key must miss, a repeat must hit.
-        let sigma = 0.123_456_789_f64;
-        let misses0 = rdo_obs::snapshot().counters.get("bench.lut.miss").copied().unwrap_or(0);
-        let a = shared_lut(CellKind::Slc, sigma).unwrap();
-        let misses1 = rdo_obs::snapshot().counters.get("bench.lut.miss").copied().unwrap_or(0);
-        assert!(misses1 > misses0, "first shared_lut call must count a miss");
-        let hits0 = rdo_obs::snapshot().counters.get("bench.lut.hit").copied().unwrap_or(0);
-        let b = shared_lut(CellKind::Slc, sigma).unwrap();
-        let hits1 = rdo_obs::snapshot().counters.get("bench.lut.hit").copied().unwrap_or(0);
-        assert!(Arc::ptr_eq(&a, &b));
-        assert!(hits1 > hits0, "repeated shared_lut call must count a hit");
-
-        let tiny = || {
-            let mut net = Sequential::new();
-            net.push(Linear::new(4, 2, &mut seeded_rng(5)));
-            let images = Tensor::from_fn(&[2, 1, 2, 2], |i| 0.1 * i as f32);
-            let train = Dataset::new(images.clone(), vec![0, 1], 2)?;
-            let test = Dataset::new(images, vec![0, 1], 2)?;
-            Ok(TrainedModel {
-                name: "tiny".to_string(),
-                net,
-                train,
-                test,
-                ideal_accuracy: 0.5,
-                grads: Vec::new(),
-                train_time: Duration::ZERO,
-            })
-        };
-        let m0 = rdo_obs::snapshot().counters.get("bench.model_cache.miss").copied().unwrap_or(0);
-        let a = cached_model("test_counter_key", tiny).unwrap();
-        let m1 = rdo_obs::snapshot().counters.get("bench.model_cache.miss").copied().unwrap_or(0);
-        assert!(m1 > m0, "first cached_model call must count a miss");
-        let h0 = rdo_obs::snapshot().counters.get("bench.model_cache.hit").copied().unwrap_or(0);
-        let b = cached_model("test_counter_key", tiny).unwrap();
-        let h1 = rdo_obs::snapshot().counters.get("bench.model_cache.hit").copied().unwrap_or(0);
-        assert!(Arc::ptr_eq(&a, &b));
-        assert!(h1 > h0, "repeated cached_model call must count a hit");
     }
 
     /// A small network whose state holds batch-norm running statistics,

@@ -17,15 +17,15 @@
 //! latency quantiles must be monotone (p50 ≤ p99 ≤ p99.9 ≤ max); the
 //! report fails loudly on any violation.
 
-use std::sync::{Arc, LazyLock};
+use std::sync::Arc;
 use std::time::Duration;
 
 use rdo_core::{MappedNetwork, Method, OffsetConfig};
 use rdo_nn::{Linear, Relu, Sequential};
 use rdo_rram::CellKind;
 use rdo_serve::{
-    bitwise_equal, run_open_loop, run_saturation, serial_reference, ArtifactCache, CacheStats,
-    ModelSnapshot, ServeConfig, SyntheticTraffic,
+    bitwise_equal, run_open_loop, run_saturation, serial_reference, ModelSnapshot, ServeConfig,
+    SyntheticTraffic,
 };
 use rdo_tensor::rng::seeded_rng;
 
@@ -63,50 +63,29 @@ impl ServeBenchConfig {
     }
 }
 
-/// Per-process cache of programmed serving snapshots, keyed by the
-/// (shape, method, cell, σ, m, seed) recipe string — the third shared
-/// artifact kind next to trained models and device LUTs. Reprogramming
-/// at a new seed is a new key; snapshots are immutable.
-static SNAPSHOT_CACHE: LazyLock<ArtifactCache<String, ModelSnapshot>> = LazyLock::new(|| {
-    ArtifactCache::new(
-        8,
-        CacheStats {
-            hit: "bench.snapshot.hit",
-            miss: "bench.snapshot.miss",
-            evict: "bench.snapshot.evict",
-            size_hwm: "bench.snapshot.size_hwm",
-        },
-    )
-});
-
-/// Builds (once per process per seed) the paper-shape serving snapshot:
-/// a 128-wide MLP stack — the 128×128 crossbar shape every `BENCH_*`
-/// kernel record uses — mapped with PWT offsets at SLC σ=0.5, m=16,
-/// programmed for one CRW cycle at `seed`, served through its effective
-/// network. The analytic LUT comes from [`shared_lut`], so building a
-/// snapshot exercises the same artifact caches the grid sweeps use.
+/// Builds the paper-shape serving snapshot: a 128-wide MLP stack — the
+/// 128×128 crossbar shape every `BENCH_*` kernel record uses — mapped
+/// with PWT offsets at SLC σ=0.5, m=16, programmed for one CRW cycle at
+/// `seed`, served through its effective network. Equal seeds build
+/// bitwise-identical snapshots.
 ///
 /// # Errors
 ///
 /// Propagates mapping/programming errors.
 pub fn paper_shape_snapshot(seed: u64) -> Result<Arc<ModelSnapshot>> {
-    let key = format!("mlp128_pwt_slc_s0.5_m16_{seed}");
-    SNAPSHOT_CACHE.get_or_build(key, || {
-        let mut rng = seeded_rng(seed.wrapping_add(41));
-        let mut net = Sequential::new();
-        net.push(Linear::new(128, 128, &mut rng));
-        net.push(Relu::new());
-        net.push(Linear::new(128, 128, &mut rng));
-        net.push(Relu::new());
-        net.push(Linear::new(128, 10, &mut rng));
-        let sigma = 0.5;
-        let cfg = OffsetConfig::paper(CellKind::Slc, sigma, 16)?;
-        let lut = shared_lut(CellKind::Slc, sigma)?;
-        let mut mapped = MappedNetwork::map(&net, Method::Pwt, &cfg, &lut, None)?;
-        mapped.program(&mut seeded_rng(seed.wrapping_add(42)))?;
-        let snapshot = ModelSnapshot::from_mapped("mlp128/pwt/slc_s0.5_m16", &mapped, &[128])?;
-        Ok::<_, BenchError>(snapshot)
-    })
+    let mut rng = seeded_rng(seed.wrapping_add(41));
+    let mut net = Sequential::new();
+    net.push(Linear::new(128, 128, &mut rng));
+    net.push(Relu::new());
+    net.push(Linear::new(128, 128, &mut rng));
+    net.push(Relu::new());
+    net.push(Linear::new(128, 10, &mut rng));
+    let sigma = 0.5;
+    let cfg = OffsetConfig::paper(CellKind::Slc, sigma, 16)?;
+    let lut = shared_lut(CellKind::Slc, sigma)?;
+    let mut mapped = MappedNetwork::map(&net, Method::Pwt, &cfg, &lut, None)?;
+    mapped.program(&mut seeded_rng(seed.wrapping_add(42)))?;
+    Ok(Arc::new(ModelSnapshot::from_mapped("mlp128/pwt/slc_s0.5_m16", &mapped, &[128])?))
 }
 
 /// Fails unless the `(label, ns)` latency quantiles are non-decreasing.
@@ -229,15 +208,20 @@ mod tests {
         assert_eq!(f.serve.linger, Duration::from_micros(200));
     }
 
+    /// Building the snapshot twice at one seed serves bitwise-identical
+    /// logits on a fixed payload; another seed programs other CRWs.
     #[test]
-    fn paper_shape_snapshot_is_cached_and_deterministic() {
-        let a = paper_shape_snapshot(1234).unwrap();
-        let b = paper_shape_snapshot(1234).unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "same seed must share one snapshot");
-        assert_eq!(a.sample_len(), 128);
-        assert_eq!(a.outputs(), 10);
-        let other = paper_shape_snapshot(1235).unwrap();
-        assert!(!Arc::ptr_eq(&a, &other));
+    fn paper_shape_snapshot_is_deterministic_per_seed() {
+        let payload: Vec<f32> = (0..128).map(|i| ((i * 37) % 17) as f32 / 17.0 - 0.4).collect();
+        let logits = |seed: u64| {
+            let snap = paper_shape_snapshot(seed).unwrap();
+            assert_eq!((snap.sample_len(), snap.outputs()), (128, 10));
+            snap.evaluator().infer_one(&payload).unwrap()
+        };
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let a = logits(1234);
+        assert_eq!(bits(&a), bits(&logits(1234)), "same seed must serve the same logits");
+        assert_ne!(bits(&a), bits(&logits(1235)), "another seed must serve other logits");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! End-to-end observability contract (§ DESIGN.md 5g): running a figure
 //! binary with `RDO_OBS` pointed at a JSONL sink must leave experiment
 //! stdout bitwise identical to a run with observability disabled, and
-//! the sink must hold a parsable event stream with live cache counters.
+//! the sink must hold a parsable event stream with live device and VAWO
+//! counters.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -36,15 +37,15 @@ fn run_fig5a(dir: &Path, obs: Option<&str>) -> Output {
 #[test]
 fn obs_does_not_change_fig5a_stdout() {
     let dir = std::env::temp_dir().join(format!("rdo-obs-determinism-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create scratch dir");
 
-    // Warm run: populates the on-disk checkpoint/artifact caches so the
-    // two compared runs start from identical cache state.
-    let warm = run_fig5a(&dir, None);
-    assert!(warm.status.success(), "warm run failed: {}", String::from_utf8_lossy(&warm.stderr));
-
+    // The scratch directory starts with an empty checkpoint cache: the
+    // plain run trains LeNet and saves it, the observed run loads it. A
+    // loaded checkpoint is the trained network bit for bit, so the two
+    // stdouts must still match.
     let plain = run_fig5a(&dir, None);
-    assert!(plain.status.success(), "plain run failed");
+    assert!(plain.status.success(), "plain run failed: {}", String::from_utf8_lossy(&plain.stderr));
     let log = dir.join("obs.jsonl");
     let with_obs = run_fig5a(&dir, Some(log.to_str().expect("utf-8 temp path")));
     assert!(with_obs.status.success(), "observed run failed");
@@ -60,8 +61,10 @@ fn obs_does_not_change_fig5a_stdout() {
     assert_eq!(report.malformed, 0, "every JSONL line must parse");
     assert!(report.events > 0, "sink holds events");
     assert!(!report.spans.is_empty(), "span records present");
-    let lut_hits = report.counters.get("bench.lut.hit").copied().unwrap_or(0);
-    assert!(lut_hits > 0, "shared LUT cache should hit across grid points, got {lut_hits}");
+    for name in ["rram.program.calls", "core.vawo.groups_searched"] {
+        let n = report.counters.get(name).copied().unwrap_or(0);
+        assert!(n > 0, "counter {name} must be live, got {n}");
+    }
 
     let _ = std::fs::remove_dir_all(&dir);
 }

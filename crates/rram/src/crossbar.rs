@@ -5,7 +5,7 @@
 //! ordinary matrix products. Because Kirchhoff summation is linear and an
 //! ideal ADC preserves it, this is exact for accuracy experiments.
 //! [`program_matrix_with_ddv`] is the DDV ablation's variant, and
-//! [`CrossbarSpec`] holds the array dimensions the tiling uses.
+//! [`CrossbarSpec`] holds the array dimensions the offset groups tile.
 
 use std::cell::RefCell;
 
@@ -36,24 +36,6 @@ pub struct CrossbarSpec {
 impl Default for CrossbarSpec {
     fn default() -> Self {
         CrossbarSpec { rows: 128, cols: 128 }
-    }
-}
-
-impl CrossbarSpec {
-    /// Creates a spec.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero.
-    pub fn new(rows: usize, cols: usize) -> Self {
-        assert!(rows > 0 && cols > 0, "crossbar dimensions must be positive");
-        CrossbarSpec { rows, cols }
-    }
-
-    /// How many *weights* fit along the bitline axis for the given codec
-    /// (each weight consumes `cells_per_weight` adjacent bitlines).
-    pub fn weight_cols(&self, codec: &WeightCodec) -> usize {
-        self.cols / codec.cells_per_weight()
     }
 }
 
@@ -422,14 +404,6 @@ mod tests {
             &mut seeded_rng(0)
         )
         .is_err());
-    }
-
-    #[test]
-    fn weight_cols_for_codecs() {
-        let spec = CrossbarSpec::default();
-        assert_eq!(spec.weight_cols(&codec()), 16); // 128 / 8 SLCs
-        let mlc = WeightCodec::paper(CellTechnology::paper(CellKind::Mlc2));
-        assert_eq!(spec.weight_cols(&mlc), 32); // 128 / 4 MLCs
     }
 
     /// The bulk programming path is bitwise identical to the scalar

@@ -28,9 +28,7 @@
 //! identical** at any seed to the per-entry test oracle
 //! `write_bulk_reference` (by default a `write` loop).
 //! RNG draw order is part of each model's contract and is documented on
-//! the model; fingerprints ([`DeviceModel::fingerprint`]) identify the
-//! model *and* its parameters, and key the shared-LUT cache in
-//! `rdo-bench`.
+//! the model.
 
 use std::fmt;
 use std::str::FromStr;
@@ -53,11 +51,6 @@ pub trait DeviceModel: fmt::Debug + Send + Sync {
     /// Short stable identifier ("paper", "level_lognormal", …); used for
     /// observability counter names and display.
     fn name(&self) -> &'static str;
-
-    /// A stable 64-bit hash of the model identity *and* its parameters
-    /// (FNV-1a over the name and parameter bits). Two models with equal
-    /// fingerprints produce identical LUTs, so caches may key on it.
-    fn fingerprint(&self) -> u64;
 
     /// Closed-form `(E[R(v)], Var[R(v)])` of the calibrated CRW — what
     /// [`crate::DeviceLut::analytic`] tabulates.
@@ -141,25 +134,6 @@ fn check_time_ratio(time_ratio: f64) -> Result<()> {
         )));
     }
     Ok(())
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0100_0000_01b3;
-
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
-pub(crate) fn fingerprint_of(name: &str, params: &[f64]) -> u64 {
-    let mut h = fnv1a(FNV_OFFSET, name.as_bytes());
-    for p in params {
-        h = fnv1a(h, &p.to_bits().to_le_bytes());
-    }
-    h
 }
 
 // ---------------------------------------------------------------------------
@@ -258,10 +232,6 @@ impl LevelSampler {
 impl DeviceModel for LevelLognormalModel {
     fn name(&self) -> &'static str {
         "level_lognormal"
-    }
-
-    fn fingerprint(&self) -> u64 {
-        fingerprint_of(self.name(), &[self.sigma_lrs, self.sigma_hrs, self.stuck_p])
     }
 
     fn moments(&self, v: u32, codec: &WeightCodec) -> Result<(f64, f64)> {
@@ -417,10 +387,6 @@ impl DeviceModel for DriftRelaxModel {
         "drift_relax"
     }
 
-    fn fingerprint(&self) -> u64 {
-        fingerprint_of(self.name(), &[self.sigma, self.relax, self.nu])
-    }
-
     fn moments(&self, v: u32, codec: &WeightCodec) -> Result<(f64, f64)> {
         let nominal = codec.nominal_conductance(v)?;
         let s2 = self.sigma * self.sigma;
@@ -517,10 +483,6 @@ fn diff_pair_arrays(ctw: &Tensor, codec: &WeightCodec) -> Result<Tensor> {
 impl DeviceModel for DifferentialPairModel {
     fn name(&self) -> &'static str {
         "diff_pair"
-    }
-
-    fn fingerprint(&self) -> u64 {
-        fnv1a(fingerprint_of("diff_pair", &[]), &self.base.fingerprint().to_le_bytes())
     }
 
     fn moments(&self, v: u32, codec: &WeightCodec) -> Result<(f64, f64)> {
@@ -689,12 +651,6 @@ impl DeviceModelSpec {
             }
         }
     }
-
-    /// The built model's [`DeviceModel::fingerprint`] at the experiment σ
-    /// — the shared-LUT cache key.
-    pub fn fingerprint(&self, sigma: f64) -> u64 {
-        self.build(sigma).fingerprint()
-    }
 }
 
 impl fmt::Display for DeviceModelSpec {
@@ -846,34 +802,6 @@ mod tests {
                 assert!((a - b).abs() < 1e-3, "{}: {a} vs {b}", model.name());
             }
         }
-    }
-
-    #[test]
-    fn fingerprints_separate_models_and_parameters() {
-        let sigma = 0.5;
-        let prints: Vec<u64> =
-            DeviceModelSpec::all().iter().map(|s| s.fingerprint(sigma)).collect();
-        for (i, a) in prints.iter().enumerate() {
-            for (j, b) in prints.iter().enumerate() {
-                if i != j {
-                    assert_ne!(a, b, "specs {i} and {j} collide");
-                }
-            }
-        }
-        // parameters are part of the identity…
-        assert_ne!(
-            DeviceModelSpec::PaperLognormal.fingerprint(0.5),
-            DeviceModelSpec::PaperLognormal.fingerprint(0.6)
-        );
-        // …and the fingerprint is stable across builds of equal models
-        assert_eq!(
-            DeviceModelSpec::level_default().fingerprint(0.5),
-            DeviceModelSpec::level_default().fingerprint(0.5)
-        );
-        // diffpair hashes its base
-        let dp = DeviceModelSpec::DiffPair { base: DiffBase::Paper };
-        let dl = DeviceModelSpec::DiffPair { base: DiffBase::Level };
-        assert_ne!(dp.fingerprint(0.5), dl.fingerprint(0.5));
     }
 
     #[test]

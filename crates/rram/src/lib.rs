@@ -8,9 +8,8 @@
 //! encoding ([`WeightCodec`]), lognormal DDV+CCV write variation
 //! ([`VariationModel`], the default member of the [`DeviceModel`] zoo
 //! that [`program_matrix`] programs through), the device statistics LUT
-//! with both closed-form and measured construction ([`DeviceLut`]),
-//! crossbar dimensions ([`CrossbarSpec`]) and matrix-to-crossbar tiling
-//! ([`TileMapping`]).
+//! with both closed-form and measured construction ([`DeviceLut`]) and
+//! the crossbar dimensions ([`CrossbarSpec`]).
 //!
 //! # Examples
 //!
@@ -41,7 +40,6 @@ mod drift;
 mod drift_report;
 mod error;
 mod lut;
-mod tile_map;
 mod variation;
 
 pub use codec::WeightCodec;
@@ -55,5 +53,4 @@ pub use drift::DriftModel;
 pub use drift_report::{column_deviation, ColumnDriftReport};
 pub use error::{Result, RramError};
 pub use lut::DeviceLut;
-pub use tile_map::TileMapping;
 pub use variation::{VariationKind, VariationModel};

@@ -24,7 +24,7 @@ use rdo_tensor::Tensor;
 
 use crate::codec::WeightCodec;
 use crate::crossbar::{nominal_table, validate_levels, with_theta};
-use crate::device_model::{fingerprint_of, DeviceModel};
+use crate::device_model::DeviceModel;
 use crate::error::Result;
 
 /// Granularity at which lognormal noise is applied.
@@ -140,7 +140,7 @@ fn per_cell_tables(codec: &WeightCodec) -> Result<(Vec<f64>, Vec<f64>, usize)> {
 }
 
 /// The paper's model as a zoo member: `"paper"` (per-weight) or
-/// `"percell"`, fingerprinted by name and σ.
+/// `"percell"`.
 ///
 /// Draw order (the bulk ≡ reference contract): per weight in row-major
 /// order, one θ for [`VariationKind::PerWeight`] or one θ per cell in
@@ -153,10 +153,6 @@ impl DeviceModel for VariationModel {
             VariationKind::PerWeight => "paper",
             VariationKind::PerCell => "percell",
         }
-    }
-
-    fn fingerprint(&self) -> u64 {
-        fingerprint_of(self.name(), &[self.sigma])
     }
 
     fn moments(&self, v: u32, codec: &WeightCodec) -> Result<(f64, f64)> {

@@ -8,7 +8,7 @@
 //! service:
 //!
 //! - [`ModelSnapshot`] freezes a programmed network behind an `Arc` that
-//!   workers, clients and caches share; [`SnapshotCell`] hot-swaps a new
+//!   workers and clients share; [`SnapshotCell`] hot-swaps a new
 //!   snapshot (e.g. after re-programming a drifted crossbar) under live
 //!   traffic.
 //! - [`ServeEngine`] runs worker threads over a bounded MPMC request
@@ -16,8 +16,6 @@
 //!   (up to [`ServeConfig::max_batch`] or a [`ServeConfig::linger`]
 //!   deadline) and forwarding each batch as **one** whole-batch GEMM;
 //!   responses route back per-request over oneshot channels.
-//! - [`ArtifactCache`] is the bounded, instrumented `Arc` cache the
-//!   bench harness's model/LUT caches are built on.
 //! - [`loadgen`] replays deterministic synthetic traffic ([`traffic`])
 //!   for saturation-throughput and open-loop latency measurements with
 //!   exact quantiles ([`rdo_obs::QuantileRecorder`]).
@@ -59,7 +57,6 @@
 
 use std::fmt;
 
-pub mod cache;
 pub mod engine;
 pub mod lifetime;
 pub mod loadgen;
@@ -67,7 +64,6 @@ pub mod snapshot;
 pub mod sync;
 pub mod traffic;
 
-pub use cache::{ArtifactCache, CacheStats};
 pub use engine::{InferClient, PendingResponse, Response, ServeConfig, ServeEngine, ServeStats};
 pub use lifetime::{
     LifetimeConfig, LifetimeConfigBuilder, LifetimeEngine, LifetimeReport, LifetimeStep,
@@ -167,7 +163,6 @@ mod tests {
         assert_send_sync::<SnapshotCell>();
         assert_send_sync::<InferClient>();
         assert_send_sync::<Response>();
-        assert_send_sync::<ArtifactCache<String, u64>>();
         fn assert_send<T: Send>() {}
         assert_send::<PendingResponse>();
         assert_send::<SnapshotEvaluator>();

@@ -75,7 +75,7 @@ impl ModelSnapshot {
         Self::from_network(name, mapped.effective_network()?, sample_dims)
     }
 
-    /// Snapshot name (cache keys, reports).
+    /// Snapshot name (reports, logs).
     pub fn name(&self) -> &str {
         &self.name
     }

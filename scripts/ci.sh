@@ -22,10 +22,13 @@ import glob, re, sys
 TEST_ONLY = ["tune_reference", "optimize_matrix_reference", "reduce_gradient",
              "extract_core_gradients", "matmul_into_scalar",
              "program_matrix_with_ddv_scalar", "write_bulk_reference"]
-# deleted: one entry point per operation, one programming path, one readout
+# deleted: one entry point per operation, one programming path, one readout,
+# no in-process artifact cache and no model without a caller
 GONE = ["matmul_into_serial", "optimize_matrix_with_threads", "readout_qint",
         "write_cells", "bitline_currents", "bitline_currents_into", "gevm_into_f64",
-        "dot_planes_range", "popcount_range"]
+        "dot_planes_range", "popcount_range", "cached_model", "fingerprint",
+        "fingerprint_of", "read_power_of_histogram", "weight_histogram", "plan_layer",
+        "plan_network"]
 # a shipping helper, private to its crate
 PRIVATE = ["refresh_effective_reference"]
 NAMES = TEST_ONLY + GONE + PRIVATE
@@ -90,8 +93,9 @@ cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- sh
 echo "==> cargo clippy --offline --workspace --all-targets -- -D warnings (test code included)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
-echo "==> cargo doc --workspace --no-deps (warnings, e.g. broken intra-doc links, fail)"
-RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+# --document-private-items: intra-doc links in private modules are checked too
+echo "==> cargo doc --workspace --no-deps --document-private-items (warnings, e.g. broken intra-doc links, fail)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --document-private-items
 
 echo "==> cargo fmt --check"
 cargo fmt --check
