@@ -84,7 +84,7 @@ use rdo_tensor::microkernel::gemm_nn;
 use rdo_tensor::rng::{rand_uniform, randn, seeded_rng};
 use rdo_tensor::{
     available_threads, col2im_into, conv2d_direct_into, conv2d_lowered_into, matmul_into_threads,
-    transposed_kernel_into, Conv2dGeometry, Scratch, Tensor,
+    scratch, transposed_kernel_into, Conv2dGeometry, Tensor,
 };
 
 /// One GEMM shape measured by the report. The LeNet rows are the exact
@@ -184,21 +184,19 @@ fn conv_forward_rows(reps: usize, threads: usize, rows: &mut Vec<BenchRow>) {
         let (oh, ow) = geom.output_hw(hw, hw);
         let mut direct_out = vec![0.0f32; 32 * oc * oh * ow];
         let mut lowered_out = direct_out.clone();
-        let mut scratch = Scratch::new();
         let mut direct = |t: usize| {
             best_of(reps, || {
                 let (w, b) = (weight.data(), bias.data());
-                conv2d_direct_into(&x, &geom, w, b, &mut direct_out, t, &mut scratch)
-                    .expect("consistent shapes");
+                conv2d_direct_into(&x, &geom, w, b, &mut direct_out, t).expect("consistent shapes");
             })
         };
         let (direct_ns, direct_threaded_ns) = (direct(1), direct(threads));
         let mut lowered = |t: usize| {
             best_of(reps, || {
                 let (w, b) = (weight.data(), bias.data());
-                let cols = conv2d_lowered_into(&x, &geom, w, b, &mut lowered_out, t, &mut scratch)
+                let cols = conv2d_lowered_into(&x, &geom, w, b, &mut lowered_out, t)
                     .expect("consistent shapes");
-                scratch.recycle(cols);
+                scratch::recycle(cols);
             })
         };
         let (lowered_ns, lowered_threaded_ns) = (lowered(1), lowered(threads));
@@ -259,18 +257,17 @@ fn conv_dx_rows(reps: usize, threads: usize, rows: &mut Vec<BenchRow>) {
             }
         }
     }
-    let mut scratch = Scratch::new();
     let mut windows_dx = vec![0.0f32; n * c * hw * hw];
     let mut windows = |t: usize| {
         best_of(reps, || {
             windows_dx.fill(0.0);
-            let mut wt = scratch.take(weight.len());
+            let mut wt = scratch::take(weight.len());
             transposed_kernel_into(&geom, weight.data(), &mut wt).expect("consistent shapes");
-            let bias = scratch.take_zeroed(c);
-            conv2d_direct_into(&dy, &transposed, &wt, &bias, &mut windows_dx, t, &mut scratch)
+            let bias = scratch::take_zeroed(c);
+            conv2d_direct_into(&dy, &transposed, &wt, &bias, &mut windows_dx, t)
                 .expect("consistent shapes");
-            scratch.recycle(wt);
-            scratch.recycle(bias);
+            scratch::recycle(wt);
+            scratch::recycle(bias);
         })
     };
     let (windows_ns, windows_threaded_ns) = (windows(1), windows(threads));
@@ -278,10 +275,10 @@ fn conv_dx_rows(reps: usize, threads: usize, rows: &mut Vec<BenchRow>) {
     let mut lowered = |t: usize| {
         best_of(reps, || {
             lowered_dx.fill(0.0);
-            let mut dcols = scratch.take_zeroed(positions * patch);
-            gemm_nn(&gp, weight.data(), &mut dcols, positions, oc, patch, t, &mut scratch);
+            let mut dcols = scratch::take_zeroed(positions * patch);
+            gemm_nn(&gp, weight.data(), &mut dcols, positions, oc, patch, t);
             col2im_into(&dcols, &geom, n, hw, hw, &mut lowered_dx).expect("consistent shapes");
-            scratch.recycle(dcols);
+            scratch::recycle(dcols);
         })
     };
     let (lowered_ns, lowered_threaded_ns) = (lowered(1), lowered(threads));

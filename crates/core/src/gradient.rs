@@ -118,10 +118,14 @@ pub fn mean_core_gradients(
         let x = batch_slice(images, start, end)?;
         let logits = net.forward(&x, false)?;
         let (_, grad) = loss.compute(&logits, &labels[start..end])?;
-        net.backward(&grad)?;
+        // the first layer's input gradient feeds nothing
+        net.backward_weights_only(&grad)?;
         batches += 1;
         start = end;
     }
+    // the trained network goes on to be mapped and copied: it keeps no
+    // forward cache
+    net.clear_cache();
     // gradients accumulated over batches; average them
     let scale = 1.0 / batches.max(1) as f32;
     Ok(net
@@ -135,7 +139,7 @@ pub fn mean_core_gradients(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdo_nn::{Linear, Relu};
+    use rdo_nn::{Conv2d, Flatten, Linear, Relu};
     use rdo_tensor::rng::{randn, seeded_rng};
 
     fn mlp(seed: u64) -> Sequential {
@@ -202,6 +206,63 @@ mod tests {
             for (x, y) in a.data().iter().zip(b.data()) {
                 assert!((x - y).abs() < 1e-5);
             }
+        }
+    }
+
+    /// A conv + linear net: the direct and the lowered conv paths, both
+    /// taking part in the weights-only backward.
+    fn conv_net(seed: u64) -> (Sequential, Tensor, Vec<usize>) {
+        let mut rng = seeded_rng(seed);
+        let mut net = Sequential::new();
+        net.push(Conv2d::new(1, 3, 3, 1, 1, &mut rng));
+        net.push(Relu::new());
+        net.push(Conv2d::new(3, 4, 3, 2, 1, &mut rng));
+        net.push(Relu::new());
+        net.push(Flatten::new());
+        net.push(Linear::new(4 * 4 * 4, 3, &mut rng));
+        let x = randn(&[10, 1, 8, 8], 0.0, 1.0, &mut rng);
+        let labels = (0..10).map(|i| i % 3).collect();
+        (net, x, labels)
+    }
+
+    /// Skipping the first layer's dX leaves every accumulated gradient
+    /// bit for bit what the full backward pass accumulates, over several
+    /// batches (the last one short).
+    #[test]
+    fn mean_core_gradients_match_full_backward_bitwise() {
+        let (mut net, x, labels) = conv_net(8);
+        let mut full = net.clone();
+        let got = mean_core_gradients(&mut net, &x, &labels, 4).unwrap();
+
+        let loss = SoftmaxCrossEntropy::new();
+        full.zero_grad();
+        for start in (0..10).step_by(4) {
+            let end = (start + 4).min(10);
+            let logits = full.forward(&batch_slice(&x, start, end).unwrap(), false).unwrap();
+            let (_, grad) = loss.compute(&logits, &labels[start..end]).unwrap();
+            full.backward(&grad).unwrap();
+        }
+        let want: Vec<Tensor> =
+            extract_core_gradients(&mut full).iter().map(|g| g.scale(1.0 / 3.0)).collect();
+        assert_eq!(got.len(), want.len());
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (a, b) in got.iter().zip(&want) {
+            assert_eq!(bits(a), bits(b));
+        }
+    }
+
+    /// The measured network holds no forward cache afterwards, so neither
+    /// it nor the copies mapping makes of it carry batch buffers.
+    #[test]
+    fn measured_network_holds_no_forward_cache() {
+        let (mut net, x, labels) = conv_net(9);
+        mean_core_gradients(&mut net, &x, &labels, 4).unwrap();
+        let grad = Tensor::zeros(&[x.dims()[0], 3]);
+        for mut measured in [net.clone(), net] {
+            assert!(matches!(
+                measured.backward(&grad),
+                Err(rdo_nn::NnError::BackwardBeforeForward { .. })
+            ));
         }
     }
 

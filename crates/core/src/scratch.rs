@@ -11,11 +11,12 @@
 //! After [`PwtScratch::bind`], steady-state tuning batches perform no
 //! PWT-side heap allocation at all.
 //!
-//! Buffers are checked out of an [`rdo_tensor::Scratch`] pool and recycled
-//! on rebinding, so one arena can be reused across programming cycles
-//! (see [`crate::tune_with_scratch`]) without re-touching the allocator.
-
-use rdo_tensor::Scratch;
+//! A rebind reuses the arena's own buffers in place, so one arena serves
+//! every programming cycle (see [`crate::tune_with_scratch`]) without
+//! re-touching the allocator. They are long-lived state, not
+//! temporaries, so they do not come from the thread's
+//! [`rdo_tensor::scratch`] pool: checked out of it, a `groups`-sized
+//! buffer would keep whatever larger idle buffer best fit handed out.
 
 use crate::error::{CoreError, Result};
 use crate::mapping::MappedNetwork;
@@ -30,7 +31,6 @@ use crate::mapping::MappedNetwork;
 /// [`MappedNetwork::program`].
 #[derive(Debug, Default)]
 pub struct PwtScratch {
-    pool: Scratch,
     layers: Vec<LayerScratch>,
 }
 
@@ -58,43 +58,39 @@ impl PwtScratch {
         PwtScratch::default()
     }
 
-    /// Binds the arena to `mapped`'s current programming cycle: recycles
-    /// any previous buffers, transposes every layer's CRW into network
-    /// orientation and resets the stale-offset tracking (the next refresh
-    /// rebuilds every group).
+    /// Binds the arena to `mapped`'s current programming cycle:
+    /// transposes every layer's CRW into network orientation and resets
+    /// the stale-offset tracking (the next refresh rebuilds every group).
+    /// The previous binding's buffers are reused in place, so rebinding
+    /// the same network for its next programming cycle allocates nothing.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] if `mapped` has not been
-    /// programmed.
+    /// programmed; the arena is then bound to nothing.
     pub fn bind(&mut self, mapped: &MappedNetwork) -> Result<()> {
-        for ls in self.layers.drain(..) {
-            self.pool.recycle(ls.crw_t);
-            self.pool.recycle(ls.last);
-            self.pool.recycle(ls.db);
-            self.pool.recycle(ls.best);
-        }
-        for layer in mapped.layers() {
-            let crw = layer.crw.as_ref().ok_or_else(|| {
-                CoreError::InvalidConfig("layer has not been programmed".to_string())
-            })?;
+        let Some(crws) = mapped.layers().iter().map(|l| l.crw.as_ref()).collect::<Option<Vec<_>>>()
+        else {
+            self.layers.clear();
+            return Err(CoreError::InvalidConfig("layer has not been programmed".to_string()));
+        };
+        self.layers.resize_with(crws.len(), LayerScratch::default);
+        for ((ls, layer), crw) in self.layers.iter_mut().zip(mapped.layers()).zip(crws) {
             let layout = layer.state.layout();
-            let (rows, cols) = (layout.fan_in(), layout.fan_out());
-            let mut crw_t = self.pool.take(rows * cols);
+            let (rows, cols, groups) = (layout.fan_in(), layout.fan_out(), layout.group_count());
+            // every element is written before it is read: `crw_t` here,
+            // the others by the first refresh, gradient and snapshot
+            ls.crw_t.resize(rows * cols, 0.0);
             let src = crw.data();
             for c in 0..cols {
                 for r in 0..rows {
-                    crw_t[c * rows + r] = src[r * cols + c];
+                    ls.crw_t[c * rows + r] = src[r * cols + c];
                 }
             }
-            let groups = layout.group_count();
-            self.layers.push(LayerScratch {
-                crw_t,
-                last: self.pool.take(groups),
-                refreshed: false,
-                db: self.pool.take(groups),
-                best: self.pool.take(groups),
-            });
+            for buf in [&mut ls.last, &mut ls.db, &mut ls.best] {
+                buf.resize(groups, 0.0);
+            }
+            ls.refreshed = false;
         }
         if rdo_obs::enabled() {
             let bytes: usize = self
@@ -187,17 +183,24 @@ mod tests {
     }
 
     #[test]
-    fn rebinding_reuses_pooled_storage() {
+    fn rebinding_reuses_the_arena_storage() {
         let mut m = mapped();
         m.program(&mut seeded_rng(1)).unwrap();
         let mut s = PwtScratch::new();
         s.bind(&m).unwrap();
-        let ptr = s.layers[0].crw_t.as_ptr();
+        let ptrs: Vec<_> = s.layers.iter().map(|l| l.crw_t.as_ptr()).collect();
         m.program(&mut seeded_rng(2)).unwrap();
+        let pooled = rdo_tensor::scratch::pooled_capacity();
         s.bind(&m).unwrap();
-        // the largest buffer (layer 0's 6×8 CRW cache) comes back from
-        // the pool instead of the allocator
-        assert_eq!(s.layers[0].crw_t.as_ptr(), ptr);
+        // every CRW cache is rebuilt in place, and the rebind neither
+        // draws from nor feeds the thread's scratch pool
+        assert_eq!(s.layers.iter().map(|l| l.crw_t.as_ptr()).collect::<Vec<_>>(), ptrs);
+        assert_eq!(rdo_tensor::scratch::pooled_capacity(), pooled);
+        assert!(s.is_bound_to(&m));
+        // a failed bind leaves the arena bound to nothing
+        let unprogrammed = mapped();
+        assert!(s.bind(&unprogrammed).is_err());
+        assert!(!s.is_bound_to(&m));
     }
 
     #[test]

@@ -5,7 +5,7 @@ use rdo_tensor::microkernel::{gemm_nn, gemm_tn};
 use rdo_tensor::rng::Rng;
 use rdo_tensor::{
     auto_threads, col2im_into, conv2d_direct_into, conv2d_lowered_into, im2col_into,
-    patch_group_sums_into, rng::kaiming, transposed_kernel_into, Conv2dGeometry, Scratch, Tensor,
+    patch_group_sums_into, rng::kaiming, scratch, transposed_kernel_into, Conv2dGeometry, Tensor,
 };
 
 use crate::error::{NnError, Result};
@@ -59,9 +59,6 @@ pub struct Conv2d {
     cache: Option<ConvCache>,
     // when set, backward accumulates the row-group gradient instead of dW
     row_groups: RowGroups,
-    // im2col / GEMM-packing buffers, reused across batches (clones start
-    // with an empty pool and warm up their own)
-    scratch: Scratch,
 }
 
 #[derive(Debug, Clone)]
@@ -113,7 +110,6 @@ impl Conv2d {
             bias_grad: Tensor::zeros(&[out_channels]),
             cache: None,
             row_groups: RowGroups::new(patch, out_channels),
-            scratch: Scratch::new(),
         }
     }
 
@@ -160,9 +156,8 @@ impl Conv2d {
             self.bias.data(),
             &mut out,
             auto_threads(n * oh * ow, patch, oc),
-            &mut self.scratch,
         )?;
-        let mut saved = self.scratch.take(input.len());
+        let mut saved = scratch::take(input.len());
         saved.copy_from_slice(input.data());
         self.cache = Some(ConvCache { saved: Saved::Input(saved), rows: n * oh * ow, n, h, w });
         Ok(Tensor::from_vec(out, &[n, oc, oh, ow])?)
@@ -184,7 +179,6 @@ impl Conv2d {
             self.bias.data(),
             &mut out,
             auto_threads(rows, patch, oc),
-            &mut self.scratch,
         )?;
         self.cache = Some(ConvCache { saved: Saved::Cols(cols), rows, n, h, w });
         Ok(Tensor::from_vec(out, &[n, oc, oh, ow])?)
@@ -205,17 +199,17 @@ impl Conv2d {
         if let (false, Saved::Input(x)) = (grouped, &mut cache.saved) {
             // a direct forward pass and dW wanted: lower its input now, once
             let x = Tensor::from_vec(std::mem::take(x), &dims)?;
-            let mut cols = self.scratch.take(rows * patch);
+            let mut cols = scratch::take(rows * patch);
             im2col_into(&x, &self.geom, &mut cols)?;
-            self.scratch.recycle(x.into_vec());
+            scratch::recycle(x.into_vec());
             cache.saved = Saved::Cols(cols);
         }
-        let mut gp = self.scratch.take(rows * oc); // (n·oh·ow, oc)
+        let mut gp = scratch::take(rows * oc); // (n·oh·ow, oc)
         nchw_to_patches_into(grad_output, &mut gp);
         if grouped {
             // Σ gp · X_g, X_g read from whichever operand forward cached
             let bounds = self.row_groups.bounds();
-            let mut xg = self.scratch.take(rows * bounds.len());
+            let mut xg = scratch::take(rows * bounds.len());
             match &mut cache.saved {
                 Saved::Cols(cols) => group_sums_into(cols, patch, bounds, &mut xg),
                 Saved::Input(x) => {
@@ -227,7 +221,7 @@ impl Conv2d {
                 }
             }
             self.row_groups.accumulate(&xg, &gp);
-            self.scratch.recycle(xg);
+            scratch::recycle(xg);
         } else {
             let Saved::Cols(cols) = &cache.saved else { unreachable!("lowered above") };
             // dW += gpᵀ · cols — the TN kernel reads gp as stored and
@@ -240,7 +234,6 @@ impl Conv2d {
                 rows,
                 patch,
                 auto_threads(oc, rows, patch),
-                &mut self.scratch,
             );
         }
         for row in gp.chunks_exact(oc) {
@@ -280,12 +273,12 @@ impl Conv2d {
         if rdo_obs::enabled() {
             rdo_obs::counter_add("nn.conv.dx_direct", 1);
         }
-        let mut wt = self.scratch.take(self.weight.len());
+        let mut wt = scratch::take(self.weight.len());
         transposed_kernel_into(&self.geom, self.weight.data(), &mut wt)?;
-        let bias = self.scratch.take_zeroed(self.geom.in_channels);
-        let done = conv2d_direct_into(grad_output, t, &wt, &bias, dx, threads, &mut self.scratch);
-        self.scratch.recycle(wt);
-        self.scratch.recycle(bias);
+        let bias = scratch::take_zeroed(self.geom.in_channels);
+        let done = conv2d_direct_into(grad_output, t, &wt, &bias, dx, threads);
+        scratch::recycle(wt);
+        scratch::recycle(bias);
         Ok(done?)
     }
 
@@ -305,19 +298,10 @@ impl Conv2d {
         let (patch, oc, (oh, ow)) =
             (self.geom.patch_len(), self.geom.out_channels, self.geom.output_hw(h, w));
         let rows = n * oh * ow;
-        let mut dcols = self.scratch.take_zeroed(rows * patch);
-        gemm_nn(
-            gp,
-            self.weight.data(),
-            &mut dcols,
-            rows,
-            oc,
-            patch,
-            auto_threads(rows, oc, patch),
-            &mut self.scratch,
-        );
+        let mut dcols = scratch::take_zeroed(rows * patch);
+        gemm_nn(gp, self.weight.data(), &mut dcols, rows, oc, patch, auto_threads(rows, oc, patch));
         let done = col2im_into(&dcols, &self.geom, n, h, w, dx);
-        self.scratch.recycle(dcols);
+        scratch::recycle(dcols);
         Ok(done?)
     }
 }
@@ -345,7 +329,7 @@ impl Layer for Conv2d {
         let [n, h, w] = self.geom.check_input("Conv2d::forward", input.dims())?;
         if let Some(stale) = self.cache.take() {
             // the previous batch's buffer becomes this batch's
-            self.scratch.recycle(stale.saved.into_vec());
+            scratch::recycle(stale.saved.into_vec());
         }
         if self.geom.direct_forward(n, h, w) {
             self.forward_direct(input, n, h, w)
@@ -366,7 +350,7 @@ impl Layer for Conv2d {
             }
             None => self.input_grad_lowered(&gp, n, h, w, &mut dx)?,
         }
-        self.scratch.recycle(gp);
+        scratch::recycle(gp);
         Ok(Tensor::from_vec(dx, &[n, self.geom.in_channels, h, w])?)
     }
 
@@ -374,7 +358,7 @@ impl Layer for Conv2d {
         // first layer of the network (LeNet conv1, the ResNet stem): dX
         // would feed nothing
         let gp = self.accumulate_param_grads(grad_output)?;
-        self.scratch.recycle(gp);
+        scratch::recycle(gp);
         Ok(())
     }
 
@@ -397,8 +381,8 @@ impl Layer for Conv2d {
     }
 
     fn clear_cache(&mut self) {
-        // dropped, not recycled: the pool stays with this layer, while a
-        // cleared cache is meant to leave the memory altogether
+        // dropped, not recycled: a cleared cache is meant to leave the
+        // memory altogether, not to sit in the thread's pool
         self.cache = None;
     }
 
@@ -480,17 +464,13 @@ mod tests {
             let y = conv.forward(&x, true).unwrap();
             conv.backward(&y).unwrap();
         }
-        let warm = conv.scratch.pooled_capacity();
+        let warm = scratch::pooled_capacity();
         assert!(warm > 0, "conv should have pooled its buffers");
         for _ in 0..3 {
             let y = conv.forward(&x, true).unwrap();
             conv.backward(&y).unwrap();
         }
-        assert_eq!(
-            conv.scratch.pooled_capacity(),
-            warm,
-            "steady-state batches must not grow the pool"
-        );
+        assert_eq!(scratch::pooled_capacity(), warm, "steady-state batches must not grow the pool");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use rdo_tensor::microkernel::{gemm_nn, gemm_nt, gemm_nt_prepacked, gemm_tn};
 use rdo_tensor::rng::Rng;
-use rdo_tensor::{auto_threads, rng::kaiming, PackedA, Scratch, Tensor};
+use rdo_tensor::{auto_threads, rng::kaiming, scratch, PackedA, Tensor};
 
 use crate::error::{NnError, Result};
 use crate::layer::{Layer, Param, ParamKind};
@@ -39,8 +39,6 @@ pub struct Linear {
     out_features: usize,
     // when set, backward accumulates the row-group gradient instead of dW
     row_groups: RowGroups,
-    // GEMM packing scratch, reused across batches (clones start empty)
-    scratch: Scratch,
 }
 
 impl Linear {
@@ -55,7 +53,6 @@ impl Linear {
             in_features,
             out_features,
             row_groups: RowGroups::new(in_features, out_features),
-            scratch: Scratch::new(),
         }
     }
 
@@ -114,14 +111,7 @@ impl Linear {
         }
         let (m, k, n) = (packed.m(), self.in_features, self.out_features);
         let mut y = vec![0.0f32; m * n];
-        gemm_nt_prepacked(
-            packed,
-            self.weight.data(),
-            &mut y,
-            n,
-            auto_threads(m, k, n),
-            &mut self.scratch,
-        );
+        gemm_nt_prepacked(packed, self.weight.data(), &mut y, n, auto_threads(m, k, n));
         for row in y.chunks_exact_mut(n) {
             for (v, &b) in row.iter_mut().zip(self.bias.data()) {
                 *v += b;
@@ -140,10 +130,10 @@ impl Linear {
             .ok_or_else(|| NnError::BackwardBeforeForward { layer: self.name() })?;
         let batch = grad_output.dims()[0];
         if self.row_groups.is_set() {
-            let mut xg = self.scratch.take(batch * self.row_groups.bounds().len());
+            let mut xg = scratch::take(batch * self.row_groups.bounds().len());
             group_sums_into(input.data(), self.in_features, self.row_groups.bounds(), &mut xg);
             self.row_groups.accumulate(&xg, grad_output.data());
-            self.scratch.recycle(xg);
+            scratch::recycle(xg);
         } else {
             // the TN kernel reads g in its stored (batch, out) orientation
             // and accumulates straight into the gradient — no transpose
@@ -155,7 +145,6 @@ impl Linear {
                 batch,
                 self.in_features,
                 auto_threads(self.out_features, batch, self.in_features),
-                &mut self.scratch,
             );
         }
         for r in 0..batch {
@@ -182,16 +171,7 @@ impl Layer for Linear {
         // orientation by the NT kernel; no transposed copy is made.
         let (m, k, n) = (input.dims()[0], self.in_features, self.out_features);
         let mut y = vec![0.0f32; m * n];
-        gemm_nt(
-            input.data(),
-            self.weight.data(),
-            &mut y,
-            m,
-            k,
-            n,
-            auto_threads(m, k, n),
-            &mut self.scratch,
-        );
+        gemm_nt(input.data(), self.weight.data(), &mut y, m, k, n, auto_threads(m, k, n));
         for row in y.chunks_exact_mut(n) {
             for (v, &b) in row.iter_mut().zip(self.bias.data()) {
                 *v += b;
@@ -209,16 +189,7 @@ impl Layer for Linear {
         // dx = g · W
         let (m, k, n) = (batch, self.out_features, self.in_features);
         let mut dx = vec![0.0f32; m * n];
-        gemm_nn(
-            grad_output.data(),
-            self.weight.data(),
-            &mut dx,
-            m,
-            k,
-            n,
-            auto_threads(m, k, n),
-            &mut self.scratch,
-        );
+        gemm_nn(grad_output.data(), self.weight.data(), &mut dx, m, k, n, auto_threads(m, k, n));
         Ok(Tensor::from_vec(dx, &[m, n])?)
     }
 

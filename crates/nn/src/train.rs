@@ -198,6 +198,9 @@ pub fn fit(
     }
 
     report.train_accuracy = evaluate(net, images, labels, cfg.batch_size)?;
+    // hand the network back holding no forward cache, so neither it nor
+    // the copies made of it carry batch buffers
+    net.clear_cache();
     report.wall_time = start.elapsed();
     Ok(report)
 }
@@ -408,7 +411,8 @@ pub fn evaluate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::activation::Relu;
+    use crate::activation::{Flatten, Relu};
+    use crate::conv::Conv2d;
     use crate::linear::Linear;
     use rdo_tensor::rng::{randn, seeded_rng};
 
@@ -444,6 +448,26 @@ mod tests {
         assert!(report.train_accuracy > 0.9, "accuracy {}", report.train_accuracy);
         assert!(report.epoch_losses.last().unwrap() < &0.4);
         assert_eq!(report.epoch_losses.len(), 20);
+    }
+
+    /// `fit` hands its network back holding no forward cache, so neither
+    /// it nor the copies made of it carry batch buffers.
+    #[test]
+    fn fitted_network_holds_no_forward_cache() {
+        let mut rng = seeded_rng(21);
+        let mut net = Sequential::new();
+        net.push(Conv2d::new(1, 2, 3, 1, 1, &mut rng));
+        net.push(Relu::new());
+        net.push(Flatten::new());
+        net.push(Linear::new(2 * 4 * 4, 3, &mut rng));
+        let x = randn(&[6, 1, 4, 4], 0.0, 1.0, &mut rng);
+        let labels: Vec<usize> = (0..6).map(|i| i % 3).collect();
+        let cfg = TrainConfig { epochs: 1, batch_size: 4, ..Default::default() };
+        fit(&mut net, &x, &labels, &cfg).unwrap();
+        let grad = Tensor::zeros(&[6, 3]);
+        for mut fitted in [net.clone(), net] {
+            assert!(matches!(fitted.backward(&grad), Err(NnError::BackwardBeforeForward { .. })));
+        }
     }
 
     #[test]

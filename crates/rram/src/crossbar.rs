@@ -7,21 +7,13 @@
 //! [`program_matrix_with_ddv`] is the DDV ablation's variant, and
 //! [`CrossbarSpec`] holds the array dimensions the offset groups tile.
 
-use std::cell::RefCell;
-
 use rdo_tensor::rng::Rng;
-use rdo_tensor::{Scratch, Tensor};
+use rdo_tensor::{scratch, Tensor};
 
 use crate::codec::WeightCodec;
 use crate::device_model::DeviceModel;
 use crate::error::{Result, RramError};
 use crate::variation::VariationModel;
-
-thread_local! {
-    /// Per-thread buffer pool for the bulk programming θ streams, so the
-    /// per-cycle hot loop stops allocating after warm-up.
-    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::new());
-}
 
 /// Physical dimensions of one crossbar array (the paper simulates
 /// 128×128).
@@ -68,20 +60,17 @@ pub(crate) fn nominal_table(codec: &WeightCodec) -> Result<Vec<f64>> {
     (0..codec.weight_levels()).map(|v| codec.nominal_conductance(v)).collect()
 }
 
-/// Draws `n` values of `N(0, sigma²)` into a pooled per-thread buffer —
-/// in order, so the stream is exactly `n` scalar draws — and hands them to
-/// `f`. The bulk programming paths share it so the per-cycle hot loop
-/// stops allocating after warm-up.
+/// Draws `n` values of `N(0, sigma²)` into a buffer of the thread's
+/// [`scratch`] pool — in order, so the stream is exactly `n` scalar
+/// draws — and hands them to `f`. The bulk programming paths share it so
+/// the per-cycle hot loop stops allocating after warm-up.
 pub(crate) fn with_theta(n: usize, sigma: f64, rng: &mut Rng, f: impl FnOnce(&[f64])) {
-    SCRATCH.with(|s| {
-        let mut scratch = s.borrow_mut();
-        let mut theta = scratch.take_f64(n);
-        for t in theta.iter_mut() {
-            *t = rng.normal(0.0, sigma);
-        }
-        f(&theta);
-        scratch.recycle_f64(theta);
-    });
+    let mut theta = scratch::take_f64(n);
+    for t in theta.iter_mut() {
+        *t = rng.normal(0.0, sigma);
+    }
+    f(&theta);
+    scratch::recycle_f64(theta);
 }
 
 /// Counter name for one model's bulk programming calls (counters need

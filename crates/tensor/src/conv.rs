@@ -19,7 +19,7 @@ use std::sync::Mutex;
 use crate::error::{Result, TensorError};
 use crate::microkernel::{gemm_nt, gemm_windows, PackedA, NR};
 use crate::pool;
-use crate::scratch::Scratch;
+use crate::scratch;
 use crate::tensor::Tensor;
 
 /// Geometry of a 2-D convolution (single stride/padding for both axes).
@@ -160,7 +160,7 @@ pub fn im2col(input: &Tensor, geom: &Conv2dGeometry) -> Result<Tensor> {
 /// [`im2col`] into a caller-provided buffer of `n · oh · ow · patch_len`
 /// elements. Every element is written, padding zeros included, so the
 /// buffer's prior contents do not matter: `Conv2d` reuses one patch buffer
-/// across batches via [`Scratch::take`](crate::Scratch::take).
+/// across batches via [`scratch::take`].
 ///
 /// Each image is read through a zero-bordered copy (skipped when there is
 /// no padding), so the copy loop has no per-element bounds tests; kernel
@@ -208,10 +208,10 @@ pub fn im2col_into(input: &Tensor, geom: &Conv2dGeometry, out: &mut [f32]) -> Re
 /// The lowered convolution forward pass: [`im2col_into`], `gemm_nt` of
 /// the patches against `weight` (`oc × c·k²`) into a zeroed patch-major
 /// buffer, then `+ bias` while reordering into the NCHW `out`. Returns
-/// the patch matrix (`n·oh·ow × c·k²`), checked out of `scratch`, for
-/// the backward pass. Every shape [`Conv2dGeometry::direct_forward`]
-/// rejects runs this path, and it is the reference
-/// [`conv2d_direct_into`] is pinned to.
+/// the patch matrix (`n·oh·ow × c·k²`), checked out of the thread's
+/// [`scratch`] pool, for the backward pass. Every shape
+/// [`Conv2dGeometry::direct_forward`] rejects runs this path, and it is
+/// the reference [`conv2d_direct_into`] is pinned to.
 ///
 /// # Errors
 ///
@@ -225,18 +225,17 @@ pub fn conv2d_lowered_into(
     bias: &[f32],
     out: &mut [f32],
     threads: usize,
-    scratch: &mut Scratch,
 ) -> Result<Vec<f32>> {
     let [n, oc, oh, ow] = check_forward("conv2d_lowered_into", input, geom, weight, bias, out)?;
     let (rows, patch, hw) = (n * oh * ow, geom.patch_len(), oh * ow);
     // im2col_into writes every element, padding zeros included
-    let mut cols = scratch.take(rows * patch);
+    let mut cols = scratch::take(rows * patch);
     im2col_into(input, geom, &mut cols)?;
     if out.is_empty() {
         return Ok(cols);
     }
-    let mut yp = scratch.take_zeroed(rows * oc);
-    gemm_nt(&cols, weight, &mut yp, rows, patch, oc, threads, scratch);
+    let mut yp = scratch::take_zeroed(rows * oc);
+    gemm_nt(&cols, weight, &mut yp, rows, patch, oc, threads);
     // one output channel plane at a time, so `out` is written in order
     for (img, dst) in yp.chunks_exact(hw * oc).zip(out.chunks_exact_mut(oc * hw)) {
         for (o, (plane, &b)) in dst.chunks_exact_mut(hw).zip(bias).enumerate() {
@@ -245,7 +244,7 @@ pub fn conv2d_lowered_into(
             }
         }
     }
-    scratch.recycle(yp);
+    scratch::recycle(yp);
     Ok(cols)
 }
 
@@ -306,7 +305,6 @@ pub fn conv2d_direct_into(
     bias: &[f32],
     out: &mut [f32],
     threads: usize,
-    scratch: &mut Scratch,
 ) -> Result<()> {
     const OP: &str = "conv2d_direct_into";
     let [n, oc, oh, ow] = check_forward(OP, input, geom, weight, bias, out)?;
@@ -354,7 +352,7 @@ pub fn conv2d_direct_into(
     let shards: Vec<Mutex<ConvShard<'_>>> = out
         .chunks_mut(per * out_len)
         .map(|out| {
-            let (bordered, acc) = (scratch.take_zeroed(bordered_len), scratch.take(oc * wide));
+            let (bordered, acc) = (scratch::take_zeroed(bordered_len), scratch::take(oc * wide));
             Mutex::new(ConvShard { out, bordered, acc })
         })
         .collect();
@@ -367,8 +365,8 @@ pub fn conv2d_direct_into(
     });
     for shard in shards {
         let shard = shard.into_inner().expect("conv shard poisoned");
-        scratch.recycle(shard.bordered);
-        scratch.recycle(shard.acc);
+        scratch::recycle(shard.bordered);
+        scratch::recycle(shard.acc);
     }
     Ok(())
 }
@@ -949,7 +947,7 @@ mod tests {
         let [n, h, w] = geom.check_input("lowered_forward", x.dims()).unwrap();
         let (oh, ow) = geom.output_hw(h, w);
         let mut out = vec![f32::NAN; n * geom.out_channels * oh * ow];
-        conv2d_lowered_into(x, geom, weight, bias, &mut out, 1, &mut Scratch::new()).unwrap();
+        conv2d_lowered_into(x, geom, weight, bias, &mut out, 1).unwrap();
         out
     }
 
@@ -1003,7 +1001,7 @@ mod tests {
         let (oh, ow) = geom.output_hw(h, w);
         // NaN everywhere first: an element the kernel skips shows up
         let mut out = vec![f32::NAN; n * geom.out_channels * oh * ow];
-        conv2d_direct_into(x, geom, weight, bias, &mut out, threads, &mut Scratch::new()).unwrap();
+        conv2d_direct_into(x, geom, weight, bias, &mut out, threads).unwrap();
         out
     }
 
@@ -1050,13 +1048,12 @@ mod tests {
         let x = Tensor::zeros(&[1, 2, 4, 4]);
         let (w, b) = (vec![0.0f32; 3 * 18], vec![0.0f32; 3]);
         let mut out = vec![0.0f32; 3 * 16];
-        let mut s = Scratch::new();
-        assert!(conv2d_direct_into(&x, &g, &w, &b, &mut out, 1, &mut s).is_ok());
-        assert!(conv2d_direct_into(&x, &g, &w[1..], &b, &mut out, 1, &mut s).is_err());
-        assert!(conv2d_direct_into(&x, &g, &w, &b[1..], &mut out, 1, &mut s).is_err());
-        assert!(conv2d_direct_into(&x, &g, &w, &b, &mut out[1..], 1, &mut s).is_err());
+        assert!(conv2d_direct_into(&x, &g, &w, &b, &mut out, 1).is_ok());
+        assert!(conv2d_direct_into(&x, &g, &w[1..], &b, &mut out, 1).is_err());
+        assert!(conv2d_direct_into(&x, &g, &w, &b[1..], &mut out, 1).is_err());
+        assert!(conv2d_direct_into(&x, &g, &w, &b, &mut out[1..], 1).is_err());
         let strided = Conv2dGeometry::new(2, 3, 3, 2, 1);
-        assert!(conv2d_direct_into(&x, &strided, &w, &b, &mut out[..12], 1, &mut s).is_err());
+        assert!(conv2d_direct_into(&x, &strided, &w, &b, &mut out[..12], 1).is_err());
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! `unsafe` outside the small audited core of the persistent worker
 //! [`pool`], so the full stack (NN training, crossbar simulation,
 //! VAWO/PWT optimization) is auditable end to end. Hot paths reuse
-//! buffers through a [`Scratch`] pool instead of allocating per call,
-//! and every parallel region runs on the spawn-once [`pool`] rather than
-//! spawning threads per call.
+//! buffers through one [`scratch`] pool per thread instead of allocating
+//! per call, and every parallel region runs on the spawn-once [`pool`]
+//! rather than spawning threads per call.
 //!
 //! # Examples
 //!
@@ -54,6 +54,5 @@ pub use error::{Result, TensorError};
 pub use matmul::{auto_threads, matmul, matmul_into, matmul_into_threads, vecmat};
 pub use microkernel::PackedA;
 pub use parallel::{available_threads, parallel_map_indexed, resolve_threads};
-pub use scratch::Scratch;
 pub use shape::Shape;
 pub use tensor::Tensor;

@@ -15,30 +15,15 @@
 //! whole register tiles, so the product is **bitwise identical at every
 //! thread count**.
 
-use std::cell::RefCell;
-
 use crate::error::{Result, TensorError};
 use crate::microkernel::gemm_nn;
 use crate::parallel::available_threads;
-use crate::scratch::Scratch;
 use crate::tensor::Tensor;
 
 /// Multiply–accumulate count (`m·k·n`) above which the auto-threaded
 /// entry points use worker threads. Below it, thread spawn/join overhead
 /// dominates.
 pub const PAR_MIN_MACS: usize = 1 << 21;
-
-thread_local! {
-    /// Packing scratch for the convenience entry points, so repeated
-    /// [`matmul`]/[`matmul_into`] calls are allocation-free after warm-up.
-    /// Callers that manage buffers long-term (layers, trainers) hold
-    /// their own [`Scratch`] and call the `microkernel` API directly.
-    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::new());
-}
-
-fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
-    SCRATCH.with(|s| f(&mut s.borrow_mut()))
-}
 
 /// The worker-thread count the auto-threaded entry points use for an
 /// `m·k·n` product: `RDO_THREADS` (via [`available_threads`]) once the
@@ -124,7 +109,7 @@ pub fn matmul_into_threads(
     n: usize,
     threads: usize,
 ) {
-    with_scratch(|s| gemm_nn(a, b, c, m, k, n, threads.max(1), s));
+    gemm_nn(a, b, c, m, k, n, threads.max(1));
 }
 
 /// Vector–matrix product `y = x (m) · A (m×n)` — the orientation RRAM

@@ -38,15 +38,15 @@
 //! legacy kernel is kept as a test oracle in the `matmul` module's
 //! tests.
 
-// GEMM entry points take the conventional (a, b, c, m, k, n, threads,
-// scratch) argument list; bundling the dimensions into a struct would
-// only obscure the BLAS-shaped API.
+// The GEMM helpers take the conventional (a, b, c, m, k, n, threads)
+// argument list plus operand layouts; bundling the dimensions into a
+// struct would only obscure the BLAS-shaped API.
 #![allow(clippy::too_many_arguments)]
 
 use std::sync::Mutex;
 
 use crate::pool;
-use crate::scratch::Scratch;
+use crate::scratch;
 
 /// Whether the compile target has 256-bit (or wider) vector units; the
 /// register tile is sized to the vector register file at compile time.
@@ -82,19 +82,10 @@ enum Layout {
 /// # Panics
 ///
 /// Panics if slice lengths do not match the shape arguments.
-pub fn gemm_nn(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    threads: usize,
-    scratch: &mut Scratch,
-) {
+pub fn gemm_nn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize, threads: usize) {
     assert_eq!(a.len(), m * k, "lhs length");
     assert_eq!(b.len(), k * n, "rhs length");
-    gemm_dispatch(a, Layout::RowMajor, b, Layout::RowMajor, c, m, k, n, threads, scratch);
+    gemm_dispatch(a, Layout::RowMajor, b, Layout::RowMajor, c, m, k, n, threads);
 }
 
 /// `c += a · bᵗᵀ` for row-major `a (m×k)` and `bt (n×k)` — i.e. the
@@ -104,19 +95,10 @@ pub fn gemm_nn(
 /// # Panics
 ///
 /// Panics if slice lengths do not match the shape arguments.
-pub fn gemm_nt(
-    a: &[f32],
-    bt: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    threads: usize,
-    scratch: &mut Scratch,
-) {
+pub fn gemm_nt(a: &[f32], bt: &[f32], c: &mut [f32], m: usize, k: usize, n: usize, threads: usize) {
     assert_eq!(a.len(), m * k, "lhs length");
     assert_eq!(bt.len(), n * k, "rhs length");
-    gemm_dispatch(a, Layout::RowMajor, bt, Layout::Transposed, c, m, k, n, threads, scratch);
+    gemm_dispatch(a, Layout::RowMajor, bt, Layout::Transposed, c, m, k, n, threads);
 }
 
 /// `c += atᵀ · b` for `at (k×m)` and row-major `b (k×n)` — the weight
@@ -125,19 +107,10 @@ pub fn gemm_nt(
 /// # Panics
 ///
 /// Panics if slice lengths do not match the shape arguments.
-pub fn gemm_tn(
-    at: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    threads: usize,
-    scratch: &mut Scratch,
-) {
+pub fn gemm_tn(at: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize, threads: usize) {
     assert_eq!(at.len(), k * m, "lhs length");
     assert_eq!(b.len(), k * n, "rhs length");
-    gemm_dispatch(at, Layout::Transposed, b, Layout::RowMajor, c, m, k, n, threads, scratch);
+    gemm_dispatch(at, Layout::Transposed, b, Layout::RowMajor, c, m, k, n, threads);
 }
 
 /// Shape-based dispatch shared by the three entry points. The chosen
@@ -154,7 +127,6 @@ fn gemm_dispatch(
     k: usize,
     n: usize,
     threads: usize,
-    scratch: &mut Scratch,
 ) {
     assert_eq!(c.len(), m * n, "out length");
     if m == 0 || n == 0 {
@@ -172,7 +144,7 @@ fn gemm_dispatch(
         (1, _, _) => gevm(a, a_layout, b, b_layout, c, k, n, threads),
         (_, _, 1) => gemv(a, a_layout, b, b_layout, c, m, k, threads),
         (_, 1, _) => rank1(a, a_layout, b, b_layout, c, m, n, threads),
-        _ => gemm_tiled(a, a_layout, b, b_layout, c, m, k, n, threads, scratch),
+        _ => gemm_tiled(a, a_layout, b, b_layout, c, m, k, n, threads),
     }
 }
 
@@ -419,14 +391,13 @@ fn gemm_tiled(
     k: usize,
     n: usize,
     threads: usize,
-    scratch: &mut Scratch,
 ) {
     let direct_b = b_layout == Layout::RowMajor && n.is_multiple_of(NR) && k * n <= DIRECT_B_MAX;
-    let mut bpack = if direct_b {
+    let bpack = if direct_b {
         Vec::new()
     } else {
         let n_pad = panels(n) * NR;
-        let mut buf = scratch.take(k * n_pad);
+        let mut buf = scratch::take(k * n_pad);
         pack_b(b, b_layout, k, n, &mut buf);
         buf
     };
@@ -442,15 +413,15 @@ fn gemm_tiled(
     let kc_max = KC.min(k);
 
     if threads <= 1 {
-        let mut apack = scratch.take(tiles * MR * kc_max);
+        let mut apack = scratch::take(tiles * MR * kc_max);
         gemm_rows(a, a_layout, bsrc, c, 0, m, k, n, &mut apack);
-        scratch.recycle(apack);
+        scratch::recycle(apack);
     } else {
         // one shard per contiguous whole-tile row chunk; each shard owns
         // its (chunk, packing buffer) pair behind an uncontended mutex
         let shards: Vec<Mutex<(&mut [f32], Vec<f32>)>> = c
             .chunks_mut(rows_per * n)
-            .map(|chunk| Mutex::new((chunk, scratch.take(tiles_per * MR * kc_max))))
+            .map(|chunk| Mutex::new((chunk, scratch::take(tiles_per * MR * kc_max))))
             .collect();
         pool::run(shards.len(), |t| {
             let mut shard = shards[t].lock().expect("gemm shard poisoned");
@@ -459,12 +430,11 @@ fn gemm_tiled(
         });
         for shard in shards {
             let (_, apack) = shard.into_inner().expect("gemm shard poisoned");
-            scratch.recycle(apack);
+            scratch::recycle(apack);
         }
     }
     if !direct_b {
-        let pack = std::mem::take(&mut bpack);
-        scratch.recycle(pack);
+        scratch::recycle(bpack);
     }
 }
 
@@ -595,14 +565,7 @@ fn gemm_rows_prepacked(
 /// # Panics
 ///
 /// Panics if slice lengths do not match the shape arguments.
-pub fn gemm_nt_prepacked(
-    pa: &PackedA,
-    bt: &[f32],
-    c: &mut [f32],
-    n: usize,
-    threads: usize,
-    scratch: &mut Scratch,
-) {
+pub fn gemm_nt_prepacked(pa: &PackedA, bt: &[f32], c: &mut [f32], n: usize, threads: usize) {
     let (m, k) = (pa.m, pa.k);
     assert_eq!(bt.len(), n * k, "rhs length");
     assert_eq!(c.len(), m * n, "out length");
@@ -612,7 +575,7 @@ pub fn gemm_nt_prepacked(
     if m == 1 || k == 1 || n == 1 {
         // the vector-kernel shapes never touch the micro-panels; take the
         // exact gemm_nt dispatch on the retained raw operand
-        gemm_nt(&pa.raw, bt, c, m, k, n, threads, scratch);
+        gemm_nt(&pa.raw, bt, c, m, k, n, threads);
         return;
     }
     if rdo_obs::enabled() {
@@ -623,7 +586,7 @@ pub fn gemm_nt_prepacked(
     // B handling mirrors gemm_tiled: a transposed operand is always
     // packed (the direct path is row-major-only).
     let n_pad = panels(n) * NR;
-    let mut bpack = scratch.take(k * n_pad);
+    let mut bpack = scratch::take(k * n_pad);
     pack_b(bt, Layout::Transposed, k, n, &mut bpack);
     let bsrc = BSource::Packed(&bpack);
 
@@ -644,8 +607,7 @@ pub fn gemm_nt_prepacked(
             gemm_rows_prepacked(pa, bsrc, &mut chunk[..], t * rows_per, k, n);
         });
     }
-    let pack = bpack;
-    scratch.recycle(pack);
+    scratch::recycle(bpack);
 }
 
 /// `c += A · B` for a [`PackedA`] `A (m×k)` and a `B (k×n)` whose row
@@ -851,8 +813,7 @@ mod tests {
             let a = fill(m * k, 7919);
             let b = fill(k * n, 104729);
             let mut c = vec![0.0f32; m * n];
-            let mut s = Scratch::new();
-            gemm_nn(&a, &b, &mut c, m, k, n, 1, &mut s);
+            gemm_nn(&a, &b, &mut c, m, k, n, 1);
             assert_close(&c, &naive(&a, &b, m, k, n), 1e-4);
         }
     }
@@ -871,9 +832,8 @@ mod tests {
             );
             let a = fill(m * k, 43);
             let b = fill(k * n, 71);
-            let mut s = Scratch::new();
             let mut c_direct = vec![0.0f32; m * n];
-            gemm_nn(&a, &b, &mut c_direct, m, k, n, 1, &mut s);
+            gemm_nn(&a, &b, &mut c_direct, m, k, n, 1);
 
             let mut bt = vec![0.0f32; n * k];
             for p in 0..k {
@@ -882,7 +842,7 @@ mod tests {
                 }
             }
             let mut c_packed = vec![0.0f32; m * n];
-            gemm_nt(&a, &bt, &mut c_packed, m, k, n, 1, &mut s);
+            gemm_nt(&a, &bt, &mut c_packed, m, k, n, 1);
             assert_eq!(c_direct, c_packed, "({m},{k},{n})");
         }
     }
@@ -892,9 +852,8 @@ mod tests {
         let (m, k, n) = (9, 21, 13);
         let a = fill(m * k, 31);
         let b = fill(k * n, 57);
-        let mut s = Scratch::new();
         let mut c_nn = vec![0.0f32; m * n];
-        gemm_nn(&a, &b, &mut c_nn, m, k, n, 1, &mut s);
+        gemm_nn(&a, &b, &mut c_nn, m, k, n, 1);
 
         // bt = Bᵀ stored (n × k)
         let mut bt = vec![0.0f32; n * k];
@@ -904,7 +863,7 @@ mod tests {
             }
         }
         let mut c_nt = vec![0.0f32; m * n];
-        gemm_nt(&a, &bt, &mut c_nt, m, k, n, 1, &mut s);
+        gemm_nt(&a, &bt, &mut c_nt, m, k, n, 1);
         assert_eq!(c_nn, c_nt, "NT packing must not change values");
 
         // at = Aᵀ stored (k × m)
@@ -915,7 +874,7 @@ mod tests {
             }
         }
         let mut c_tn = vec![0.0f32; m * n];
-        gemm_tn(&at, &b, &mut c_tn, m, k, n, 1, &mut s);
+        gemm_tn(&at, &b, &mut c_tn, m, k, n, 1);
         assert_eq!(c_nn, c_tn, "TN packing must not change values");
     }
 
@@ -926,11 +885,10 @@ mod tests {
             let a = fill(m * k, 11);
             let b = fill(k * n, 13);
             let mut serial = vec![0.5f32; m * n];
-            let mut s = Scratch::new();
-            gemm_nn(&a, &b, &mut serial, m, k, n, 1, &mut s);
+            gemm_nn(&a, &b, &mut serial, m, k, n, 1);
             for threads in [2, 3, 8, 64] {
                 let mut par = vec![0.5f32; m * n];
-                gemm_nn(&a, &b, &mut par, m, k, n, threads, &mut s);
+                gemm_nn(&a, &b, &mut par, m, k, n, threads);
                 assert_eq!(par, serial, "({m},{k},{n}) threads={threads}");
             }
         }
@@ -941,11 +899,10 @@ mod tests {
         let (m, k, n) = (6, 10, 8);
         let a = fill(m * k, 3);
         let b = fill(k * n, 5);
-        let mut s = Scratch::new();
         let mut base = vec![0.0f32; m * n];
-        gemm_nn(&a, &b, &mut base, m, k, n, 1, &mut s);
+        gemm_nn(&a, &b, &mut base, m, k, n, 1);
         let mut acc = vec![2.0f32; m * n];
-        gemm_nn(&a, &b, &mut acc, m, k, n, 1, &mut s);
+        gemm_nn(&a, &b, &mut acc, m, k, n, 1);
         for (x, y) in acc.iter().zip(&base) {
             assert!((x - (y + 2.0)).abs() < 1e-5);
         }
@@ -953,26 +910,26 @@ mod tests {
 
     #[test]
     fn degenerate_shapes_are_no_ops() {
-        let mut s = Scratch::new();
         let mut c = vec![7.0f32; 6];
-        gemm_nn(&[], &[], &mut c, 2, 0, 3, 4, &mut s); // k == 0
+        gemm_nn(&[], &[], &mut c, 2, 0, 3, 4); // k == 0
         assert_eq!(c, vec![7.0; 6]);
-        gemm_nn(&[], &[], &mut [], 0, 3, 0, 4, &mut s); // m == n == 0
+        gemm_nn(&[], &[], &mut [], 0, 3, 0, 4); // m == n == 0
     }
 
     #[test]
     fn scratch_is_reused_across_calls() {
+        // the packing buffers come from and go back to this thread's pool
         let (m, k, n) = (32, 48, 24);
         let a = fill(m * k, 17);
         let b = fill(k * n, 19);
-        let mut s = Scratch::new();
         let mut c = vec![0.0f32; m * n];
-        gemm_nn(&a, &b, &mut c, m, k, n, 1, &mut s);
-        let warm = s.pooled_capacity();
-        assert!(warm > 0, "gemm should have pooled its packing buffers");
+        let cold = scratch::pooled_capacity();
+        gemm_nn(&a, &b, &mut c, m, k, n, 1);
+        let warm = scratch::pooled_capacity();
+        assert!(warm > cold, "gemm should have pooled its packing buffers");
         c.fill(0.0);
-        gemm_nn(&a, &b, &mut c, m, k, n, 1, &mut s);
-        assert_eq!(s.pooled_capacity(), warm, "steady state must not grow the pool");
+        gemm_nn(&a, &b, &mut c, m, k, n, 1);
+        assert_eq!(scratch::pooled_capacity(), warm, "steady state must not grow the pool");
     }
 
     #[test]
@@ -992,12 +949,11 @@ mod tests {
             let pa = PackedA::pack(&a, m, k);
             assert_eq!((pa.m(), pa.k()), (m, k));
             assert_eq!(pa.raw(), &a[..]);
-            let mut s = Scratch::new();
             for threads in [1, 2, 3, 8, 64] {
                 let mut c_ref = vec![0.25f32; m * n];
-                gemm_nt(&a, &bt, &mut c_ref, m, k, n, threads, &mut s);
+                gemm_nt(&a, &bt, &mut c_ref, m, k, n, threads);
                 let mut c_pre = vec![0.25f32; m * n];
-                gemm_nt_prepacked(&pa, &bt, &mut c_pre, n, threads, &mut s);
+                gemm_nt_prepacked(&pa, &bt, &mut c_pre, n, threads);
                 assert_eq!(c_pre, c_ref, "({m},{k},{n}) threads={threads}");
             }
         }
@@ -1009,13 +965,12 @@ mod tests {
         let (m, k, n) = (48, 70, 24);
         let a = fill(m * k, 7);
         let pa = PackedA::pack(&a, m, k);
-        let mut s = Scratch::new();
         for seed in [11, 13, 17] {
             let bt = fill(n * k, seed);
             let mut c_ref = vec![0.0f32; m * n];
-            gemm_nt(&a, &bt, &mut c_ref, m, k, n, 4, &mut s);
+            gemm_nt(&a, &bt, &mut c_ref, m, k, n, 4);
             let mut c_pre = vec![0.0f32; m * n];
-            gemm_nt_prepacked(&pa, &bt, &mut c_pre, n, 4, &mut s);
+            gemm_nt_prepacked(&pa, &bt, &mut c_pre, n, 4);
             assert_eq!(c_pre, c_ref, "seed={seed}");
         }
     }

@@ -66,6 +66,37 @@ if errors:
     sys.exit("ci: test oracles leaked into the API:\n  " + "\n  ".join(errors))
 PYEOF
 
+# Scratch buffers come from one pool per thread, `rdo_tensor::scratch`;
+# no layer, arena or module keeps a pool of its own.
+echo "==> one scratch pool: no Scratch field and no other thread_local! buffer pool"
+python3 - <<'PYEOF'
+import glob, re, sys
+POOL = "crates/tensor/src/scratch.rs"
+FILES = sorted(set(glob.glob("crates/*/src/**/*.rs", recursive=True)
+                   + glob.glob("crates/*/tests/*.rs") + glob.glob("src/**/*.rs", recursive=True)
+                   + glob.glob("tests/*.rs") + glob.glob("examples/*.rs")) - {POOL})
+# a field `name: Scratch` (any path prefix, any visibility)
+FIELD = re.compile(r"^\s*(?:pub(?:\([^)]*\))?\s+)?\w+\s*:\s*(?:[\w:]+::)?Scratch\b", re.M)
+# what a buffer pool in a thread-local holds
+POOLED = re.compile(r"\bScratch\b|Vec<\s*f(?:32|64)\s*>|Vec<\s*Vec<")
+errors = []
+for path in FILES:
+    text = open(path).read()
+    for m in FIELD.finditer(text):
+        line = text.count("\n", 0, m.start()) + 1
+        errors.append(f"{path}:{line}: a Scratch field; take buffers from rdo_tensor::scratch")
+    for m in re.finditer(r"\bthread_local!\s*\{", text):
+        depth, end = 1, m.end()
+        while depth and end < len(text):
+            depth += {"{": 1, "}": -1}.get(text[end], 0)
+            end += 1
+        if POOLED.search(text[m.end():end]):
+            line = text.count("\n", 0, m.start()) + 1
+            errors.append(f"{path}:{line}: a thread_local! buffer pool; use rdo_tensor::scratch")
+if errors:
+    sys.exit("ci: scratch buffers must come from the one per-thread pool:\n  " + "\n  ".join(errors))
+PYEOF
+
 echo "==> cargo build --release --offline"
 cargo build --release --offline
 
