@@ -31,10 +31,7 @@
 //!   open-loop latency quantiles ([`rdo_bench::serve_harness`]).
 //! - `BENCH_sweep.json` — end-to-end Fig. 5-style grids through
 //!   [`run_grid`] on the persistent worker pool at growing point
-//!   counts, plus the packed-dataset cycle evaluation (pack the eval
-//!   panels once, reuse every cycle) against the repack-every-cycle and
-//!   plain per-cycle paths, and a snapshot of the process-wide pool
-//!   counters.
+//!   counts, and a snapshot of the process-wide pool counters.
 //! - `lifetime.json` — accuracy over device lifetime: a PWT-mapped
 //!   ResNet-18 on drift-relax devices under live traffic, once per
 //!   maintenance policy ([`rdo_bench::lifetime_harness`]). It times
@@ -72,8 +69,7 @@ use rdo_core::{
 };
 use rdo_datasets::Dataset;
 use rdo_nn::{
-    evaluate, evaluate_packed, fit, Flatten, LeNetConfig, Linear, PackedDataset, Relu,
-    ResNetConfig, Sequential, TrainConfig,
+    evaluate, fit, Flatten, LeNetConfig, Linear, Relu, ResNetConfig, Sequential, TrainConfig,
 };
 use rdo_obs::best_of_ns as best_of;
 use rdo_rram::{
@@ -554,48 +550,6 @@ fn sweep_report(quick: bool) -> Result<BenchRecord> {
         eprintln!("[sweep] grid {size} points: pool {:.3} ms", ms(pool_ns));
         rows.push(BenchRow::new("grid", format!("points={size}"), pool_ns));
     }
-
-    // Cycle-batched evaluation: pack the eval panels once and reuse them
-    // every cycle, versus repacking per cycle, versus the plain per-cycle
-    // path (which re-packs A panels inside every GEMM call).
-    let x2 = randn(&[n, 16], 0.0, 1.0, &mut rng);
-    let labels2: Vec<usize> =
-        (0..n).map(|i| usize::from(x2.data()[i * 16] + x2.data()[i * 16 + 2] > 0.0)).collect();
-    let mut mlp = Sequential::new();
-    mlp.push(Linear::new(16, 32, &mut rng));
-    mlp.push(Relu::new());
-    mlp.push(Linear::new(32, 2, &mut rng));
-    fit(&mut mlp, &x2, &labels2, &TrainConfig { epochs: 5, lr: 0.1, ..Default::default() })?;
-    let eval_cycles = if quick { 4 } else { 16 };
-    let packed = PackedDataset::pack(&x2, 64).expect("rank-2 dataset packs");
-    let packed_ns = best_of(reps, || {
-        for _ in 0..eval_cycles {
-            black_box(evaluate_packed(&mut mlp, &packed, &labels2).expect("evaluate_packed"));
-        }
-    });
-    let repacked_ns = best_of(reps, || {
-        for _ in 0..eval_cycles {
-            let p = PackedDataset::pack(&x2, 64).expect("rank-2 dataset packs");
-            black_box(evaluate_packed(&mut mlp, &p, &labels2).expect("evaluate_packed"));
-        }
-    });
-    let plain_ns = best_of(reps, || {
-        for _ in 0..eval_cycles {
-            black_box(evaluate(&mut mlp, &x2, &labels2, 64).expect("evaluate"));
-        }
-    });
-    eprintln!(
-        "[sweep] eval x{eval_cycles} cycles: packed {:.3} ms, repacked {:.3} ms, plain {:.3} ms \
-         ({:.2}x vs plain)",
-        ms(packed_ns),
-        ms(repacked_ns),
-        ms(plain_ns),
-        plain_ns as f64 / packed_ns as f64,
-    );
-    let case = format!("eval_x{eval_cycles}");
-    rows.push(BenchRow::new(&case, "plain", plain_ns));
-    rows.push(BenchRow::new(&case, "repacked", repacked_ns).vs("plain"));
-    rows.push(BenchRow::new(case, "packed", packed_ns).vs("plain"));
 
     let ps = rdo_tensor::pool::stats();
     check_pool_engaged(ps.pooled_jobs)?;

@@ -12,16 +12,14 @@
 //! network once and executes exactly the serial per-cycle code, so
 //! `per_cycle` is bitwise identical for any thread count.
 //!
-//! Two arenas make the cycle loop allocation-light: the evaluation
-//! dataset is packed into GEMM micro-panels **once** per call (it is
-//! invariant across cycles; only the programmed weights change) and each
-//! worker refreshes one persistent effective-network clone in place via
+//! Each worker keeps one arena across the cycles it runs: a PWT scratch
+//! and an effective-network clone that it refreshes in place via
 //! [`MappedNetwork::refresh_effective_arena`] instead of rebuilding it in
-//! `effective_network()` every cycle. Both reuses are bitwise-neutral.
+//! `effective_network()` every cycle. The reuse is bitwise-neutral.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-use rdo_nn::{evaluate, evaluate_packed, PackedDataset, Sequential};
+use rdo_nn::{evaluate, Sequential};
 use rdo_tensor::parallel::{parallel_map_indexed, resolve_threads};
 use rdo_tensor::rng::seeded_rng;
 use rdo_tensor::Tensor;
@@ -96,8 +94,8 @@ impl CycleEvaluation {
 /// # Errors
 ///
 /// Propagates programming, tuning and evaluation errors; returns an
-/// invalid-config error when the method needs PWT but `tune_data` is
-/// `None`.
+/// invalid-config error when `cfg.cycles` is zero, or when the method
+/// needs PWT but `tune_data` is `None`.
 pub fn evaluate_cycles(
     mapped: &mut MappedNetwork,
     tune_data: Option<(&Tensor, &[usize])>,
@@ -106,17 +104,18 @@ pub fn evaluate_cycles(
     cfg: &CycleEvalConfig,
 ) -> Result<CycleEvaluation> {
     let _span = rdo_obs::span("core.eval_cycles");
+    if cfg.cycles == 0 {
+        return Err(crate::error::CoreError::InvalidConfig(
+            "cycles must be positive: zero cycles measure nothing".to_string(),
+        ));
+    }
     if mapped.method().uses_pwt() && tune_data.is_none() {
         return Err(crate::error::CoreError::InvalidConfig(format!(
             "method {} requires tuning data for PWT",
             mapped.method()
         )));
     }
-    let threads = resolve_threads(cfg.threads).min(cfg.cycles).max(1);
-    // pack the evaluation dataset once per call: it is identical for
-    // every cycle (only the programmed weights change), so the GEMM input
-    // panels never need re-packing; shared read-only across workers
-    let packed = PackedDataset::pack(test_images, cfg.batch_size.max(1));
+    let threads = resolve_threads(cfg.threads).min(cfg.cycles);
     if threads <= 1 {
         let mut per_cycle = Vec::with_capacity(cfg.cycles);
         // one arena set for the whole run: PWT rebinds the scratch per
@@ -130,7 +129,6 @@ pub fn evaluate_cycles(
                 tune_data,
                 test_images,
                 test_labels,
-                packed.as_ref(),
                 cfg,
                 &mut arenas,
             )?);
@@ -169,7 +167,6 @@ pub fn evaluate_cycles(
                     tune_data,
                     test_images,
                     test_labels,
-                    packed.as_ref(),
                     cfg,
                     &mut arenas,
                 ) {
@@ -223,14 +220,12 @@ impl CycleArenas {
 /// One §IV cycle: program with the cycle seed, run PWT when the method
 /// uses it, and measure test accuracy — shared verbatim by the serial and
 /// parallel paths of [`evaluate_cycles`].
-#[allow(clippy::too_many_arguments)]
 fn run_cycle(
     mapped: &mut MappedNetwork,
     c: usize,
     tune_data: Option<(&Tensor, &[usize])>,
     test_images: &Tensor,
     test_labels: &[usize],
-    packed: Option<&PackedDataset>,
     cfg: &CycleEvalConfig,
     arenas: &mut CycleArenas,
 ) -> Result<f32> {
@@ -248,18 +243,12 @@ fn run_cycle(
             // in-place refresh of the persistent clone — bitwise equal
             // to a fresh effective_network() without the allocations
             mapped.refresh_effective_arena(net)?;
-            if rdo_obs::enabled() {
-                rdo_obs::counter_add("core.eval.pack_reuse", 1);
-            }
             net
         }
         None => arenas.net.insert(mapped.effective_network()?),
     };
     let _eval = rdo_obs::span("core.eval");
-    Ok(match packed {
-        Some(p) => evaluate_packed(net, p, test_labels)?,
-        None => evaluate(net, test_images, test_labels, cfg.batch_size)?,
-    })
+    Ok(evaluate(net, test_images, test_labels, cfg.batch_size)?)
 }
 
 #[cfg(test)]
@@ -329,5 +318,16 @@ mod tests {
         let lut = DeviceLut::analytic(&VariationModel::per_weight(0.5), &cfg.codec).unwrap();
         let mut pwt = MappedNetwork::map(&net, Method::Pwt, &cfg, &lut, None).unwrap();
         assert!(evaluate_cycles(&mut pwt, None, &x, &labels, &CycleEvalConfig::default()).is_err());
+    }
+
+    #[test]
+    fn zero_cycles_rejected() {
+        let (net, x, labels) = trained_problem();
+        let cfg = OffsetConfig::paper(CellKind::Slc, 0.5, 16).unwrap();
+        let lut = DeviceLut::analytic(&VariationModel::per_weight(0.5), &cfg.codec).unwrap();
+        let mut plain = MappedNetwork::map(&net, Method::Plain, &cfg, &lut, None).unwrap();
+        let zero = CycleEvalConfig { cycles: 0, ..Default::default() };
+        let err = evaluate_cycles(&mut plain, None, &x, &labels, &zero).unwrap_err();
+        assert!(matches!(err, crate::error::CoreError::InvalidConfig(_)), "{err:?}");
     }
 }

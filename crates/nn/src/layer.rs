@@ -1,6 +1,6 @@
 //! The [`Layer`] trait and parameter plumbing shared by every layer.
 
-use rdo_tensor::{PackedA, Tensor};
+use rdo_tensor::Tensor;
 
 use crate::error::Result;
 use crate::norm::BatchNorm2d;
@@ -78,22 +78,6 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
     ///
     /// Returns a shape error if `input` does not match the layer geometry.
     fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor>;
-
-    /// [`Layer::forward`] consuming a pre-packed input batch instead of a
-    /// tensor. Returns `None` when the layer cannot exploit the packing
-    /// (the default) — the caller then reconstructs the raw batch and
-    /// takes the ordinary forward path. A `Some` result is bitwise
-    /// identical to `forward` on [`PackedA::raw`]: the pack changes the
-    /// memory layout the GEMM reads, never the values or their order.
-    ///
-    /// The multi-cycle evaluation engine packs the (cycle-invariant)
-    /// evaluation dataset once per grid point and reuses it across every
-    /// programming cycle; only [`crate::Linear`] (and [`crate::Sequential`]
-    /// when its first layer does) consumes the pack directly.
-    fn forward_packed(&mut self, packed: &PackedA, train: bool) -> Option<Result<Tensor>> {
-        let _ = (packed, train);
-        None
-    }
 
     /// Propagates `grad_output` backwards, accumulating parameter gradients
     /// and returning the gradient with respect to the layer input.

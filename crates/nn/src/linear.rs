@@ -1,8 +1,8 @@
 //! Fully-connected layer.
 
-use rdo_tensor::microkernel::{gemm_nn, gemm_nt, gemm_nt_prepacked, gemm_tn};
+use rdo_tensor::microkernel::{gemm_nn, gemm_nt, gemm_tn};
 use rdo_tensor::rng::Rng;
-use rdo_tensor::{auto_threads, rng::kaiming, scratch, PackedA, Tensor};
+use rdo_tensor::{auto_threads, rng::kaiming, scratch, Tensor};
 
 use crate::error::{NnError, Result};
 use crate::layer::{Layer, Param, ParamKind};
@@ -89,37 +89,6 @@ impl Linear {
         Ok(())
     }
 
-    /// [`Layer::forward_packed`] body: the input micro-panels come from
-    /// the pack, so repeated inference over the same batch (the
-    /// multi-cycle evaluation loop) skips both the per-call `A` packing
-    /// and — when not training — the cached-input clone.
-    fn forward_packed_impl(&mut self, packed: &PackedA, train: bool) -> Result<Tensor> {
-        if packed.k() != self.in_features {
-            return Err(NnError::Tensor(rdo_tensor::TensorError::ShapeMismatch {
-                op: "Linear::forward_packed",
-                lhs: vec![packed.m(), packed.k()],
-                rhs: vec![0, self.in_features],
-            }));
-        }
-        if train {
-            self.cached_input =
-                Some(Tensor::from_vec(packed.raw().to_vec(), &[packed.m(), packed.k()])?);
-        } else {
-            // inference never runs backward; dropping the stale cache keeps
-            // the backward-before-forward contract honest
-            self.cached_input = None;
-        }
-        let (m, k, n) = (packed.m(), self.in_features, self.out_features);
-        let mut y = vec![0.0f32; m * n];
-        gemm_nt_prepacked(packed, self.weight.data(), &mut y, n, auto_threads(m, k, n));
-        for row in y.chunks_exact_mut(n) {
-            for (v, &b) in row.iter_mut().zip(self.bias.data()) {
-                *v += b;
-            }
-        }
-        Ok(Tensor::from_vec(y, &[m, n])?)
-    }
-
     /// Shared half of the backward pass: `dW += gᵀ · x` (or, with row
     /// groups set, their `Σ g · X_g` instead) and `db += Σ_batch g`.
     /// Returns the batch size.
@@ -178,10 +147,6 @@ impl Layer for Linear {
             }
         }
         Ok(Tensor::from_vec(y, &[m, n])?)
-    }
-
-    fn forward_packed(&mut self, packed: &PackedA, train: bool) -> Option<Result<Tensor>> {
-        Some(self.forward_packed_impl(packed, train))
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {

@@ -1,6 +1,6 @@
 //! Sequential layer container.
 
-use rdo_tensor::{PackedA, Tensor};
+use rdo_tensor::Tensor;
 
 use crate::error::{NnError, Result};
 use crate::layer::{Layer, Param};
@@ -85,23 +85,6 @@ impl Sequential {
         self.forward(input, false)
     }
 
-    /// [`Sequential::infer`] consuming a pre-packed input batch. When the
-    /// first layer can read the pack directly (a [`crate::Linear`] input
-    /// stack), the per-batch `A` packing is skipped; otherwise the raw
-    /// batch is reconstructed and the ordinary path runs. Either way the
-    /// logits are bitwise identical to `infer` on the same batch.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any layer error.
-    pub fn infer_packed(&mut self, packed: &PackedA) -> Result<Tensor> {
-        if let Some(result) = Layer::forward_packed(self, packed, false) {
-            return result;
-        }
-        let raw = Tensor::from_vec(packed.raw().to_vec(), &[packed.m(), packed.k()])?;
-        self.forward(&raw, false)
-    }
-
     /// Backward pass for a top-level network: identical parameter-gradient
     /// accumulation to [`Layer::backward`] (bit for bit), but the first
     /// layer runs [`Layer::backward_params_only`] since nothing consumes
@@ -130,21 +113,6 @@ impl Layer for Sequential {
             x = layer.forward(&x, train)?;
         }
         Ok(x)
-    }
-
-    fn forward_packed(&mut self, packed: &PackedA, train: bool) -> Option<Result<Tensor>> {
-        let (first, rest) = self.layers.split_first_mut()?;
-        let mut x = match first.forward_packed(packed, train)? {
-            Ok(x) => x,
-            Err(e) => return Some(Err(e)),
-        };
-        for layer in rest {
-            match layer.forward(&x, train) {
-                Ok(y) => x = y,
-                Err(e) => return Some(Err(e)),
-            }
-        }
-        Some(Ok(x))
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {

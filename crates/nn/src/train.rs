@@ -3,7 +3,7 @@
 use std::time::{Duration, Instant};
 
 use rdo_tensor::rng::{permutation, seeded_rng};
-use rdo_tensor::{PackedA, Tensor};
+use rdo_tensor::Tensor;
 
 use crate::error::{NnError, Result};
 use crate::layer::Layer;
@@ -269,108 +269,27 @@ fn stream_train_mode(net: &mut Sequential, images: &Tensor, batch_size: usize) -
     Ok(())
 }
 
-/// An evaluation dataset pre-packed into per-batch GEMM micro-panels.
-///
-/// The multi-cycle evaluation engine evaluates the *same* dataset once
-/// per programming cycle per grid point; only the programmed weights
-/// change between cycles. Packing the input panels once and reusing them
-/// via [`evaluate_packed`] removes the per-cycle `A`-packing copies (and
-/// the per-batch cached-input clone) from that loop. Results are bitwise
-/// identical to [`evaluate`] with the same `batch_size`.
-///
-/// Only rank-2 (sample × feature) datasets pack; [`PackedDataset::pack`]
-/// returns `None` for convolutional inputs, and callers fall back to the
-/// plain [`evaluate`] path.
-#[derive(Debug, Clone)]
-pub struct PackedDataset {
-    batches: Vec<PackedA>,
-    batch_size: usize,
-    n: usize,
-    features: usize,
-}
+/// Uninhabited: no dataset is packed, and every dataset is evaluated by
+/// [`evaluate`]. It and [`evaluate_packed`] stay only because the
+/// `benchmark/` package names them; both go with that package's
+/// declared change (ROADMAP item 5).
+#[derive(Debug)]
+pub enum PackedDataset {}
 
 impl PackedDataset {
-    /// Packs a rank-2 dataset into `batch_size`-row panels (the final
-    /// batch may be short). Returns `None` when `images` is not rank 2.
-    pub fn pack(images: &Tensor, batch_size: usize) -> Option<PackedDataset> {
-        if images.shape().rank() != 2 {
-            return None;
-        }
-        let (n, features) = (images.dims()[0], images.dims()[1]);
-        let bs = batch_size.max(1);
-        let mut batches = Vec::with_capacity(n.div_ceil(bs));
-        let mut start = 0usize;
-        while start < n {
-            let end = (start + bs).min(n);
-            batches.push(PackedA::pack(
-                &images.data()[start * features..end * features],
-                end - start,
-                features,
-            ));
-            start = end;
-        }
-        Some(PackedDataset { batches, batch_size: bs, n, features })
-    }
-
-    /// Number of samples in the dataset.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Returns `true` when the dataset holds no samples.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// The batch size the panels were cut at.
-    pub fn batch_size(&self) -> usize {
-        self.batch_size
-    }
-
-    /// Features per sample.
-    pub fn features(&self) -> usize {
-        self.features
-    }
-
-    /// The packed batches, in dataset order.
-    pub fn batches(&self) -> &[PackedA] {
-        &self.batches
+    /// Always `None`, so callers take [`evaluate`].
+    pub fn pack(_images: &Tensor, _batch_size: usize) -> Option<PackedDataset> {
+        None
     }
 }
 
-/// [`evaluate`] over a [`PackedDataset`]: same batching, same per-batch
-/// inference order, bitwise-identical accuracy — the input panels are
-/// just read from the pack instead of being re-sliced and re-packed
-/// every call.
-///
-/// # Errors
-///
-/// Returns [`NnError::LabelMismatch`] if sizes disagree, or propagates any
-/// layer error.
+/// Cannot be called: no [`PackedDataset`] exists.
 pub fn evaluate_packed(
-    net: &mut Sequential,
+    _net: &mut Sequential,
     packed: &PackedDataset,
-    labels: &[usize],
+    _labels: &[usize],
 ) -> Result<f32> {
-    let _span = rdo_obs::span("nn.evaluate");
-    if labels.len() != packed.n {
-        return Err(NnError::LabelMismatch { batch: packed.n, labels: labels.len() });
-    }
-    if packed.n == 0 {
-        return Ok(0.0);
-    }
-    if rdo_obs::enabled() {
-        rdo_obs::counter_add("nn.evaluate.packed_batches", packed.batches.len() as u64);
-    }
-    let mut correct = 0.0f32;
-    let mut start = 0usize;
-    for batch in &packed.batches {
-        let end = start + batch.m();
-        let logits = net.infer_packed(batch)?;
-        correct += accuracy(&logits, &labels[start..end])? * batch.m() as f32;
-        start = end;
-    }
-    Ok(correct / packed.n as f32)
+    match *packed {}
 }
 
 /// Evaluates top-1 accuracy of `net` over a dataset, batched.
@@ -505,50 +424,12 @@ mod tests {
         assert!((0.0..=1.0).contains(&acc));
     }
 
+    /// The `benchmark/` package falls back to [`evaluate`] on this `None`.
     #[test]
-    fn packed_evaluate_is_bitwise_plain_evaluate() {
-        let (x, y) = toy_problem(100, 11);
-        let mut net = mlp(12);
-        // 100 samples at batch 16 exercises a short final batch
-        for bs in [1usize, 16, 100, 128] {
-            let plain = evaluate(&mut net, &x, &y, bs).unwrap();
-            let packed = PackedDataset::pack(&x, bs).unwrap();
-            assert_eq!(packed.len(), 100);
-            assert_eq!(packed.features(), 4);
-            let fast = evaluate_packed(&mut net, &packed, &y).unwrap();
-            assert_eq!(fast.to_bits(), plain.to_bits(), "bs={bs}");
-        }
-    }
-
-    #[test]
-    fn packed_logits_match_plain_infer_bitwise() {
-        let (x, _) = toy_problem(23, 13);
-        let mut net = mlp(14);
-        let packed = PackedDataset::pack(&x, 8).unwrap();
-        let mut start = 0usize;
-        for batch in packed.batches() {
-            let plain = net.infer(&batch_slice(&x, start, start + batch.m()).unwrap()).unwrap();
-            let fast = net.infer_packed(batch).unwrap();
-            assert_eq!(
-                fast.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                plain.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            );
-            start += batch.m();
-        }
-    }
-
-    #[test]
-    fn rank4_dataset_does_not_pack() {
-        let t = Tensor::zeros(&[4, 1, 2, 2]);
-        assert!(PackedDataset::pack(&t, 2).is_none());
-    }
-
-    #[test]
-    fn packed_label_mismatch_rejected() {
+    fn pack_returns_none_for_every_rank() {
         let (x, _) = toy_problem(8, 15);
-        let mut net = mlp(16);
-        let packed = PackedDataset::pack(&x, 4).unwrap();
-        assert!(evaluate_packed(&mut net, &packed, &[0, 1]).is_err());
+        assert!(PackedDataset::pack(&x, 4).is_none());
+        assert!(PackedDataset::pack(&Tensor::zeros(&[4, 1, 2, 2]), 2).is_none());
     }
 
     #[test]

@@ -52,7 +52,6 @@ pub use conv::{
 };
 pub use error::{Result, TensorError};
 pub use matmul::{auto_threads, matmul, matmul_into, matmul_into_threads, vecmat};
-pub use microkernel::PackedA;
 pub use parallel::{available_threads, parallel_map_indexed, resolve_threads};
 pub use shape::Shape;
 pub use tensor::Tensor;

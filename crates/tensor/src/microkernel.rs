@@ -296,15 +296,6 @@ enum BSource<'a> {
     /// `B` read in place from the caller's row-major storage — only legal
     /// when `n` is a whole number of `NR` panels (no zero-padded columns).
     Direct(&'a [f32]),
-    /// Row `p` of `B` is the `n` values of `b` starting at `rows[p]`:
-    /// overlapping windows of one buffer (see [`gemm_windows`]). Same
-    /// whole-panel rule as `Direct`.
-    Windows {
-        /// The buffer the rows are cut from.
-        b: &'a [f32],
-        /// Start of each of the `k` rows.
-        rows: &'a [usize],
-    },
 }
 
 impl BSource<'_> {
@@ -320,7 +311,6 @@ impl BSource<'_> {
                 micro_tile(apanel, &bblock[jp * kc * NR..(jp + 1) * kc * NR], kc)
             }
             BSource::Direct(b) => micro_tile_direct(apanel, b, |p| (k0 + p) * n + j0, kc),
-            BSource::Windows { b, rows } => micro_tile_direct(apanel, b, |p| rows[k0 + p] + j0, kc),
         }
     }
 }
@@ -438,50 +428,35 @@ fn gemm_tiled(
     }
 }
 
-/// A left operand packed once into `MR`-row micro-panels for reuse
-/// across many products — e.g. the evaluation dataset of a fig. 5 sweep,
-/// whose input panels are invariant across programming cycles while only
-/// the programmed weights change.
+/// A left operand packed once into `MR`-row micro-panels: the weight of
+/// the stride-1 convolution (`conv2d_direct_into`), which every image's
+/// [`gemm_windows`] product reads.
 ///
-/// The layout replicates exactly what `pack_a_block` produces when a
-/// fresh pack covers rows `0..m`: for each `KC` block `k0`, tile `t`
-/// (anchored at absolute row `t·MR`) lives at
-/// `tiles_all · MR · k0 + t · (MR · kc)`, element `(p, i)` at
-/// `p · MR + i`, zero-padded past row `m`. Because the threaded tiled
-/// path partitions rows into whole-`MR`-tile chunks anchored at row 0, a
-/// worker's tiles are a contiguous subrange of this pack holding exactly
-/// the bytes its per-call `pack_a_block` would have written — which is
-/// why [`gemm_nt_prepacked`] is bitwise identical to [`gemm_nt`] at
-/// every thread count.
-///
-/// The raw row-major operand is retained alongside the panels so the
-/// degenerate shapes (`m == 1`, `k == 1`, `n == 1`) can take the exact
-/// same vector-kernel dispatch as [`gemm_nt`].
-#[derive(Debug, Clone)]
-pub struct PackedA {
-    /// Micro-panel data, `tiles_all · MR · k` elements.
+/// The layout is what `pack_a_block` writes when one pack covers rows
+/// `0..m`: for each `KC` block `k0`, tile `t` lives at
+/// `tiles · MR · k0 + t · (MR · kc)`, element `(p, i)` at `p · MR + i`,
+/// zero-padded past row `m`.
+pub(crate) struct PackedA {
+    /// Micro-panel data, `tiles · MR · k` elements.
     data: Vec<f32>,
-    /// The original row-major operand (`m · k` elements).
-    raw: Vec<f32>,
     m: usize,
     k: usize,
 }
 
 impl PackedA {
-    /// Packs row-major `a (m×k)` once for repeated [`gemm_nt_prepacked`]
-    /// products.
+    /// Packs row-major `a (m×k)`.
     ///
     /// # Panics
     ///
     /// Panics if `a.len() != m * k`.
-    pub fn pack(a: &[f32], m: usize, k: usize) -> Self {
+    pub(crate) fn pack(a: &[f32], m: usize, k: usize) -> Self {
         assert_eq!(a.len(), m * k, "lhs length");
-        let tiles_all = m.div_ceil(MR);
-        let mut data = vec![0.0f32; tiles_all * MR * k];
+        let tiles = m.div_ceil(MR);
+        let mut data = vec![0.0f32; tiles * MR * k];
         let mut k0 = 0;
         while k0 < k {
             let kc = KC.min(k - k0);
-            let off = tiles_all * MR * k0;
+            let off = tiles * MR * k0;
             pack_a_block(
                 a,
                 Layout::RowMajor,
@@ -490,124 +465,12 @@ impl PackedA {
                 0..m,
                 k0,
                 kc,
-                &mut data[off..off + tiles_all * MR * kc],
+                &mut data[off..off + tiles * MR * kc],
             );
             k0 += kc;
         }
-        Self { data, raw: a.to_vec(), m, k }
+        Self { data, m, k }
     }
-
-    /// Number of rows of the packed operand.
-    pub fn m(&self) -> usize {
-        self.m
-    }
-
-    /// Number of columns (the shared/contraction dimension).
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// The original row-major operand the pack was built from.
-    pub fn raw(&self) -> &[f32] {
-        &self.raw
-    }
-}
-
-/// [`gemm_rows`] reading `A` micro-panels from a [`PackedA`] instead of
-/// packing per call. `r0` must be a whole number of `MR` tiles (the
-/// threaded partition guarantees this; the serial call passes 0).
-fn gemm_rows_prepacked(
-    pa: &PackedA,
-    bsrc: BSource<'_>,
-    c_rows: &mut [f32],
-    r0: usize,
-    k: usize,
-    n: usize,
-) {
-    debug_assert!(r0.is_multiple_of(MR), "chunks are whole-tile aligned");
-    let rows = c_rows.len() / n;
-    let n_panels = panels(n);
-    let tiles = rows.div_ceil(MR);
-    let tiles_all = pa.m.div_ceil(MR);
-    let t_base = r0 / MR;
-    let mut k0 = 0;
-    while k0 < k {
-        let kc = KC.min(k - k0);
-        let block_off = tiles_all * MR * k0;
-        for jp in 0..n_panels {
-            let j0 = jp * NR;
-            let width = NR.min(n - j0);
-            for t in 0..tiles {
-                let i0 = t * MR;
-                let height = MR.min(rows - i0);
-                let panel_off = block_off + (t_base + t) * MR * kc;
-                let apanel = &pa.data[panel_off..panel_off + MR * kc];
-                let acc = bsrc.tile(apanel, k0, kc, jp, n);
-                for (i, acc_row) in acc.iter().enumerate().take(height) {
-                    let crow = &mut c_rows[(i0 + i) * n + j0..(i0 + i) * n + j0 + width];
-                    for (cv, av) in crow.iter_mut().zip(acc_row) {
-                        *cv += av;
-                    }
-                }
-            }
-        }
-        k0 += kc;
-    }
-}
-
-/// `c += Aᵖ · bᵗᵀ` where `Aᵖ` is a [`PackedA`] — the reuse variant of
-/// [`gemm_nt`]: the `A` micro-panels are read straight from the pack, so
-/// repeated products against changing weights skip the per-call
-/// `pack_a_block` copies. Bitwise identical to [`gemm_nt`] on the raw
-/// operand at every thread count (same dispatch, same tile partition,
-/// same accumulation order).
-///
-/// # Panics
-///
-/// Panics if slice lengths do not match the shape arguments.
-pub fn gemm_nt_prepacked(pa: &PackedA, bt: &[f32], c: &mut [f32], n: usize, threads: usize) {
-    let (m, k) = (pa.m, pa.k);
-    assert_eq!(bt.len(), n * k, "rhs length");
-    assert_eq!(c.len(), m * n, "out length");
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    if m == 1 || k == 1 || n == 1 {
-        // the vector-kernel shapes never touch the micro-panels; take the
-        // exact gemm_nt dispatch on the retained raw operand
-        gemm_nt(&pa.raw, bt, c, m, k, n, threads);
-        return;
-    }
-    if rdo_obs::enabled() {
-        rdo_obs::counter_add("tensor.gemm.calls", 1);
-        rdo_obs::counter_add("tensor.gemm.flops", 2 * (m * k * n) as u64);
-        rdo_obs::counter_add("tensor.gemm.prepacked_calls", 1);
-    }
-    // B handling mirrors gemm_tiled: a transposed operand is always
-    // packed (the direct path is row-major-only).
-    let n_pad = panels(n) * NR;
-    let mut bpack = scratch::take(k * n_pad);
-    pack_b(bt, Layout::Transposed, k, n, &mut bpack);
-    let bsrc = BSource::Packed(&bpack);
-
-    let tiles = m.div_ceil(MR);
-    if rdo_obs::enabled() {
-        rdo_obs::counter_add("tensor.gemm.tiles", (tiles * panels(n)) as u64);
-    }
-    let threads = threads.clamp(1, m).min(tiles);
-    let tiles_per = tiles.div_ceil(threads);
-    let rows_per = tiles_per * MR;
-
-    if threads <= 1 {
-        gemm_rows_prepacked(pa, bsrc, c, 0, k, n);
-    } else {
-        let shards: Vec<Mutex<&mut [f32]>> = c.chunks_mut(rows_per * n).map(Mutex::new).collect();
-        pool::run(shards.len(), |t| {
-            let mut chunk = shards[t].lock().expect("gemm shard poisoned");
-            gemm_rows_prepacked(pa, bsrc, &mut chunk[..], t * rows_per, k, n);
-        });
-    }
-    scratch::recycle(bpack);
 }
 
 /// `c += A · B` for a [`PackedA`] `A (m×k)` and a `B (k×n)` whose row
@@ -622,10 +485,32 @@ pub fn gemm_nt_prepacked(pa: &PackedA, bt: &[f32], c: &mut [f32], n: usize, thre
 /// Panics unless `n` is a whole number of [`NR`] panels,
 /// `rows.len() == k`, `c.len() == m·n` and every window lies inside `b`.
 pub(crate) fn gemm_windows(pa: &PackedA, b: &[f32], rows: &[usize], c: &mut [f32], n: usize) {
+    let (m, k) = (pa.m, pa.k);
     assert!(n.is_multiple_of(NR), "window width must be whole NR panels");
-    assert_eq!(rows.len(), pa.k, "one window per k");
-    assert_eq!(c.len(), pa.m * n, "out length");
-    gemm_rows_prepacked(pa, BSource::Windows { b, rows }, c, 0, pa.k, n);
+    assert_eq!(rows.len(), k, "one window per k");
+    assert_eq!(c.len(), m * n, "out length");
+    let tiles = m.div_ceil(MR);
+    let mut k0 = 0;
+    while k0 < k {
+        let kc = KC.min(k - k0);
+        let block_off = tiles * MR * k0;
+        for jp in 0..panels(n) {
+            let j0 = jp * NR;
+            for t in 0..tiles {
+                let i0 = t * MR;
+                let panel_off = block_off + t * MR * kc;
+                let apanel = &pa.data[panel_off..panel_off + MR * kc];
+                let acc = micro_tile_direct(apanel, b, |p| rows[k0 + p] + j0, kc);
+                for (i, acc_row) in acc.iter().enumerate().take(MR.min(m - i0)) {
+                    let crow = &mut c[(i0 + i) * n + j0..(i0 + i) * n + j0 + NR];
+                    for (cv, av) in crow.iter_mut().zip(acc_row) {
+                        *cv += av;
+                    }
+                }
+            }
+        }
+        k0 += kc;
+    }
 }
 
 /// Lane count of the blocked reductions in the vector kernels.
@@ -930,48 +815,5 @@ mod tests {
         c.fill(0.0);
         gemm_nn(&a, &b, &mut c, m, k, n, 1);
         assert_eq!(scratch::pooled_capacity(), warm, "steady state must not grow the pool");
-    }
-
-    #[test]
-    fn prepacked_is_bitwise_gemm_nt_every_thread_count() {
-        // tile path plus every degenerate dispatch, across KC/MR/NR
-        // boundaries; the pack is built once and reused for all counts
-        for &(m, k, n) in &[
-            (23, 37, 19),
-            (MR + 1, KC + 3, NR + 1),
-            (64, 128, 32),
-            (1, 40, 33),
-            (29, 40, 1),
-            (21, 1, 18),
-        ] {
-            let a = fill(m * k, 101);
-            let bt = fill(n * k, 103);
-            let pa = PackedA::pack(&a, m, k);
-            assert_eq!((pa.m(), pa.k()), (m, k));
-            assert_eq!(pa.raw(), &a[..]);
-            for threads in [1, 2, 3, 8, 64] {
-                let mut c_ref = vec![0.25f32; m * n];
-                gemm_nt(&a, &bt, &mut c_ref, m, k, n, threads);
-                let mut c_pre = vec![0.25f32; m * n];
-                gemm_nt_prepacked(&pa, &bt, &mut c_pre, n, threads);
-                assert_eq!(c_pre, c_ref, "({m},{k},{n}) threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn prepacked_reuse_across_changing_weights() {
-        // the sweep usage pattern: one pack, many different right operands
-        let (m, k, n) = (48, 70, 24);
-        let a = fill(m * k, 7);
-        let pa = PackedA::pack(&a, m, k);
-        for seed in [11, 13, 17] {
-            let bt = fill(n * k, seed);
-            let mut c_ref = vec![0.0f32; m * n];
-            gemm_nt(&a, &bt, &mut c_ref, m, k, n, 4);
-            let mut c_pre = vec![0.0f32; m * n];
-            gemm_nt_prepacked(&pa, &bt, &mut c_pre, n, 4);
-            assert_eq!(c_pre, c_ref, "seed={seed}");
-        }
     }
 }

@@ -23,12 +23,13 @@ TEST_ONLY = ["tune_reference", "optimize_matrix_reference", "reduce_gradient",
              "extract_core_gradients", "matmul_into_scalar",
              "program_matrix_with_ddv_scalar", "write_bulk_reference"]
 # deleted: one entry point per operation, one programming path, one readout,
-# no in-process artifact cache and no model without a caller
+# no in-process artifact cache, no model without a caller and one evaluation path
 GONE = ["matmul_into_serial", "optimize_matrix_with_threads", "readout_qint",
         "write_cells", "bitline_currents", "bitline_currents_into", "gevm_into_f64",
         "dot_planes_range", "popcount_range", "cached_model", "fingerprint",
         "fingerprint_of", "read_power_of_histogram", "weight_histogram", "plan_layer",
-        "plan_network"]
+        "plan_network", "gemm_nt_prepacked", "infer_packed", "forward_packed",
+        "forward_packed_impl"]
 # a shipping helper, private to its crate
 PRIVATE = ["refresh_effective_reference"]
 NAMES = TEST_ONLY + GONE + PRIVATE
