@@ -94,14 +94,7 @@ pub fn evaluate_dva(
                     eval.batch_size,
                 )?);
             }
-            let n = per_cycle.len().max(1) as f32;
-            let mean = per_cycle.iter().sum::<f32>() / n;
-            let var = if per_cycle.len() > 1 {
-                per_cycle.iter().map(|a| (a - mean).powi(2)).sum::<f32>() / (n - 1.0)
-            } else {
-                0.0
-            };
-            Ok(CycleEvaluation { per_cycle, mean, std: var.sqrt() })
+            Ok(CycleEvaluation::from_cycles(per_cycle))
         }
     }
 }

@@ -9,8 +9,8 @@
 //! 2. **saturation, dynamic batching** — same snapshot, same traffic;
 //!    the throughput ratio is what coalescing buys at the paper shape;
 //! 3. **open loop** at a target QPS — per-request latency against a
-//!    seeded Poisson schedule, with exact p50/p99/p99.9 from a
-//!    request-count-sized [`rdo_obs::QuantileRecorder`].
+//!    seeded Poisson schedule, with exact p50/p99/p99.9 from every raw
+//!    latency ([`rdo_obs::nearest_rank`]).
 //!
 //! Every run also pins correctness: the batched and unbatched outputs
 //! are compared bitwise against the serial per-request reference, and the
@@ -152,9 +152,9 @@ pub fn serve_report(cfg: &ServeBenchConfig) -> Result<BenchRecord> {
         cfg.qps,
         cfg.seed.wrapping_add(2),
     )?;
-    let qs = open.latency.quantiles(&[0.5, 0.99, 0.999]);
-    let quantiles =
-        [("p50", qs[0]), ("p99", qs[1]), ("p999", qs[2]), ("max", open.latency.max().unwrap_or(0))];
+    let latency = &open.latency_ns;
+    let qs = rdo_obs::nearest_rank(latency, &[0.5, 0.99, 0.999, 1.0]);
+    let quantiles = [("p50", qs[0]), ("p99", qs[1]), ("p999", qs[2]), ("max", qs[3])];
     eprintln!(
         "[serve] open loop @ {:.0} qps: p50 {:.1} µs, p99 {:.1} µs, p99.9 {:.1} µs \
          (exact over {} samples), achieved {:.0} rps",
@@ -162,7 +162,7 @@ pub fn serve_report(cfg: &ServeBenchConfig) -> Result<BenchRecord> {
         qs[0] as f64 / 1e3,
         qs[1] as f64 / 1e3,
         qs[2] as f64 / 1e3,
-        open.latency.count(),
+        latency.len(),
         open.achieved_rps,
     );
     check_quantiles(&quantiles)?;
@@ -179,8 +179,7 @@ pub fn serve_report(cfg: &ServeBenchConfig) -> Result<BenchRecord> {
         .with("dynamic_max_batch", dynamic.stats.max_batch)
         .with("target_qps", open.target_qps)
         .with("achieved_rps", open.achieved_rps)
-        .with("exact_quantiles", open.latency.is_exact())
-        .with("samples", open.latency.count());
+        .with("samples", latency.len());
     // the engine's workers are the threads every row ran on
     rec.threads = cfg.serve.workers;
     rec.rows.push(BenchRow::new("saturation", "batch1", batch1.wall_ns));
@@ -188,7 +187,8 @@ pub fn serve_report(cfg: &ServeBenchConfig) -> Result<BenchRecord> {
     for (label, ns) in quantiles {
         rec.rows.push(BenchRow::new("open_loop_latency", label, u128::from(ns)));
     }
-    let mean_ns = open.latency.mean().unwrap_or(0.0).round() as u128;
+    let sum_ns: u128 = latency.iter().map(|&ns| u128::from(ns)).sum();
+    let mean_ns = (sum_ns as f64 / latency.len() as f64).round() as u128;
     rec.rows.push(BenchRow::new("open_loop_latency", "mean", mean_ns));
     Ok(rec)
 }
@@ -259,7 +259,7 @@ mod tests {
         let json = rec.to_json().unwrap();
         for key in [
             "\"bench\": \"serve\"",
-            "\"exact_quantiles\": true",
+            "\"samples\": 256",
             "\"baseline_variant\": \"batch1\", \"speedup\": ",
         ] {
             assert!(json.contains(key), "report must contain {key}: {json}");

@@ -72,7 +72,9 @@ pub struct CycleEvaluation {
 }
 
 impl CycleEvaluation {
-    fn from_cycles(per_cycle: Vec<f32>) -> Self {
+    /// The evaluation of `per_cycle`: its mean and its sample standard
+    /// deviation (0 for fewer than two cycles).
+    pub fn from_cycles(per_cycle: Vec<f32>) -> Self {
         let n = per_cycle.len().max(1) as f32;
         let mean = per_cycle.iter().sum::<f32>() / n;
         let var = if per_cycle.len() > 1 {

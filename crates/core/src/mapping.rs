@@ -382,11 +382,16 @@ impl MappedNetwork {
 
     /// Ages the programmed devices by conductance drift (an extension
     /// beyond the paper; see [`rdo_rram::DriftModel`]): every CRW decays
-    /// by `time_ratio^{−ν}` with per-device exponents. Offsets and the
-    /// tuned network are kept — the point is to measure how stale they go
-    /// — so call [`crate::tune`] afterwards to re-compensate.
+    /// by `time_ratio^{−ν}`, with one exponent `ν` per device drawn from
+    /// `rng` on this call. Offsets and the tuned network are kept — the
+    /// point is to measure how stale they go — so call [`crate::tune`]
+    /// afterwards to re-compensate.
     ///
-    /// Repeated calls compose multiplicatively (each ages further).
+    /// Repeated calls age further, but the exponents are not kept
+    /// between calls: each call draws fresh ones, so a device's `ν`
+    /// changes from one ageing step to the next, where a physical
+    /// device keeps its own. Ageing by `r₁` and then by `r₂` is therefore
+    /// not the same as one call with `r₁·r₂`.
     ///
     /// # Errors
     ///

@@ -154,14 +154,6 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
     /// recurse; the default (a layer that caches nothing) does nothing.
     fn clear_cache(&mut self) {}
 
-    /// Whether a train-mode forward pass draws randomness, so that two
-    /// passes over the same data see different activations
-    /// ([`crate::Dropout`] with `p > 0`). Containers report whether any
-    /// child does; the default is `false`.
-    fn is_stochastic(&self) -> bool {
-        false
-    }
-
     /// A short human-readable layer name for error messages and summaries.
     fn name(&self) -> String;
 

@@ -36,7 +36,6 @@
 
 mod activation;
 mod conv;
-mod dropout;
 mod error;
 mod layer;
 mod lenet;
@@ -57,7 +56,6 @@ pub mod train;
 
 pub use activation::{Flatten, Relu};
 pub use conv::Conv2d;
-pub use dropout::Dropout;
 pub use error::{NnError, Result};
 pub use layer::{Layer, Param, ParamKind};
 pub use lenet::LeNetConfig;

@@ -31,7 +31,7 @@ pub fn accuracy(logits: &Tensor, labels: &[usize]) -> Result<f32> {
             actual: logits.shape().rank(),
         }));
     }
-    let (n, c) = (logits.dims()[0], logits.dims()[1]);
+    let n = logits.dims()[0];
     if labels.len() != n {
         return Err(NnError::LabelMismatch { batch: n, labels: labels.len() });
     }
@@ -47,71 +47,11 @@ pub fn accuracy(logits: &Tensor, labels: &[usize]) -> Result<f32> {
                 best = j;
             }
         }
-        let _ = c;
         if best == label {
             correct += 1;
         }
     }
     Ok(correct as f32 / n as f32)
-}
-
-/// A confusion matrix accumulated over batches of predictions.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConfusionMatrix {
-    classes: usize,
-    counts: Vec<usize>,
-}
-
-impl ConfusionMatrix {
-    /// Creates an all-zero confusion matrix for `classes` classes.
-    pub fn new(classes: usize) -> Self {
-        ConfusionMatrix { classes, counts: vec![0; classes * classes] }
-    }
-
-    /// Number of classes.
-    pub fn classes(&self) -> usize {
-        self.classes
-    }
-
-    /// Records one batch of logits against labels.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::LabelMismatch`] on inconsistent sizes.
-    pub fn record(&mut self, logits: &Tensor, labels: &[usize]) -> Result<()> {
-        let n = logits.dims()[0];
-        if labels.len() != n {
-            return Err(NnError::LabelMismatch { batch: n, labels: labels.len() });
-        }
-        for (r, &label) in labels.iter().enumerate() {
-            let row = logits.row(r)?;
-            let mut best = 0usize;
-            for (j, &v) in row.iter().enumerate() {
-                if v > row[best] {
-                    best = j;
-                }
-            }
-            if label < self.classes && best < self.classes {
-                self.counts[label * self.classes + best] += 1;
-            }
-        }
-        Ok(())
-    }
-
-    /// Count of samples with true class `t` predicted as class `p`.
-    pub fn count(&self, t: usize, p: usize) -> usize {
-        self.counts[t * self.classes + p]
-    }
-
-    /// Overall accuracy derived from the matrix (0.0 when empty).
-    pub fn accuracy(&self) -> f32 {
-        let total: usize = self.counts.iter().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let diag: usize = (0..self.classes).map(|i| self.count(i, i)).sum();
-        diag as f32 / total as f32
-    }
 }
 
 #[cfg(test)]
@@ -125,21 +65,6 @@ mod tests {
         // argmax per row: 2, 0, 1
         assert_eq!(accuracy(&logits, &[2, 0, 1]).unwrap(), 1.0);
         assert!((accuracy(&logits, &[2, 0, 2]).unwrap() - 2.0 / 3.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn confusion_matrix_accumulates() {
-        let mut cm = ConfusionMatrix::new(2);
-        let logits = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], &[2, 2]).unwrap();
-        cm.record(&logits, &[0, 0]).unwrap();
-        assert_eq!(cm.count(0, 0), 1);
-        assert_eq!(cm.count(0, 1), 1);
-        assert_eq!(cm.accuracy(), 0.5);
-    }
-
-    #[test]
-    fn empty_matrix_accuracy_zero() {
-        assert_eq!(ConfusionMatrix::new(3).accuracy(), 0.0);
     }
 
     #[test]

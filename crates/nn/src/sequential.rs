@@ -153,10 +153,6 @@ impl Layer for Sequential {
         }
     }
 
-    fn is_stochastic(&self) -> bool {
-        self.layers.iter().any(|l| l.is_stochastic())
-    }
-
     fn name(&self) -> String {
         format!("Sequential[{}]", self.layers.len())
     }
@@ -247,10 +243,6 @@ impl Layer for Residual {
     fn clear_cache(&mut self) {
         self.main.clear_cache();
         self.shortcut.clear_cache();
-    }
-
-    fn is_stochastic(&self) -> bool {
-        self.main.is_stochastic() || self.shortcut.is_stochastic()
     }
 
     fn name(&self) -> String {
@@ -405,7 +397,7 @@ mod tests {
     /// exactly as in a network that was never cleared.
     #[test]
     fn clear_cache_forgets_every_forward_pass() {
-        use crate::{BatchNorm2d, Conv2d, Dropout, Flatten, GlobalAvgPool, MaxPool2d};
+        use crate::{BatchNorm2d, Conv2d, Flatten, GlobalAvgPool, MaxPool2d};
         let mut rng = seeded_rng(9);
         let mut block = Sequential::new();
         block.push(Conv2d::new(4, 4, 3, 1, 1, &mut rng));
@@ -417,7 +409,6 @@ mod tests {
         net.push(Residual::new(block, Sequential::new()));
         net.push(GlobalAvgPool::new());
         net.push(Flatten::new());
-        net.push(Dropout::new(0.5, 1));
         net.push(Linear::new(4, 3, &mut rng));
         let x = randn(&[2, 2, 6, 6], 0.0, 1.0, &mut rng);
         let g = randn(&[2, 3], 0.0, 1.0, &mut rng);
@@ -439,8 +430,8 @@ mod tests {
         }
 
         let grads = |net: &mut Sequential| -> Vec<Vec<u32>> {
-            // eval mode, as PWT runs it: no running-statistics update and
-            // no dropout draw, so both networks see the same pass
+            // eval mode, as PWT runs it: no running-statistics update, so
+            // both networks see the same pass
             net.zero_grad();
             net.forward(&x, false).unwrap();
             net.backward(&g).unwrap();

@@ -222,9 +222,8 @@ pub fn fit(
 /// `(mean, var)` sequence of the first. Each layer records that sequence
 /// and then applies the same running-average updates a second time, in
 /// the same order: bitwise the two-pass result at half the forward
-/// passes. A network with a layer that is random in train mode
-/// ([`Layer::is_stochastic`], e.g. [`crate::Dropout`] with `p > 0`)
-/// draws different masks in each pass, so it still streams both.
+/// passes. The replay relies on a train-mode forward pass being
+/// deterministic, as that of every layer in this crate is.
 ///
 /// # Errors
 ///
@@ -240,10 +239,6 @@ pub fn recalibrate_batchnorm(
         // nothing to re-estimate, and the train-mode forwards would have
         // no lasting effect
         return Ok(());
-    }
-    if net.is_stochastic() {
-        stream_train_mode(net, images, batch_size)?;
-        return stream_train_mode(net, images, batch_size);
     }
     net.visit_batch_norms(&mut |bn| bn.start_recording());
     let streamed = stream_train_mode(net, images, batch_size);
@@ -488,29 +483,9 @@ mod tests {
     fn one_pass_recalibration_is_bitwise_two_passes() {
         let mut rng = seeded_rng(41);
         let resnet = crate::ResNetConfig::resnet18_scaled(4).build(&mut rng).unwrap();
-        assert!(!resnet.is_stochastic());
         assert_recalibration_matches_two_passes(resnet, &[3, 3, 8, 8], 42);
         let vgg = crate::VggConfig::vgg16_scaled(16, 8).build(&mut rng).unwrap();
         assert_recalibration_matches_two_passes(vgg, &[3, 3, 8, 8], 43);
-    }
-
-    #[test]
-    fn dropout_network_still_matches_two_passes() {
-        use crate::{BatchNorm2d, Conv2d, Dropout, Flatten};
-        let mut rng = seeded_rng(44);
-        for p in [0.5, 0.0] {
-            let mut net = Sequential::new();
-            net.push(Conv2d::new(2, 4, 3, 1, 1, &mut rng));
-            net.push(BatchNorm2d::new(4));
-            net.push(Relu::new());
-            net.push(Dropout::new(p, 9));
-            net.push(Conv2d::new(4, 3, 3, 1, 1, &mut rng));
-            net.push(BatchNorm2d::new(3));
-            net.push(Flatten::new());
-            // only a drop probability above zero makes the passes differ
-            assert_eq!(net.is_stochastic(), p > 0.0);
-            assert_recalibration_matches_two_passes(net, &[2, 2, 6, 6], 45);
-        }
     }
 
     #[test]

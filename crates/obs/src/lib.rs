@@ -2,8 +2,10 @@
 //!
 //! Run-level observability for the reproduction of *"Digital Offset for
 //! RRAM-based Neuromorphic Computing"* (DATE 2021): hierarchical wall-clock
-//! [spans](span()), named [counters](counter_add()) and log2-bucketed
-//! [histograms](observe()), plus a structured JSONL event sink.
+//! [spans](span()), named [counters](counter_add()), log2-bucketed
+//! [histograms](observe()) and exact nearest-rank
+//! [quantiles](nearest_rank()) of raw values, plus a structured JSONL
+//! event sink.
 //!
 //! The layer is compiled into every crate of the workspace but designed to
 //! cost one relaxed atomic load and a predictable branch per call site when
@@ -53,7 +55,7 @@ mod span;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::time::{Duration, Instant};
 
-pub use quantile::QuantileRecorder;
+pub use quantile::nearest_rank;
 pub use registry::{HistSummary, Snapshot, SpanStat};
 pub use report::{fold, parse_line, Event, Report};
 pub use span::{span, span_with, SpanGuard};

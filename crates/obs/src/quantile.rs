@@ -1,146 +1,29 @@
-//! Exact-then-sampled latency quantiles.
+//! Exact latency quantiles.
 //!
 //! The crate's log2 histograms ([`observe`](crate::observe())) are the
 //! right tool for always-on aggregation, but their bucket resolution is a
-//! factor of two — far too coarse to back a p99 latency claim. A
-//! [`QuantileRecorder`] keeps the raw values instead, bounded by a fixed
-//! sample capacity:
-//!
-//! - while the number of recorded values is **at or below the capacity**,
-//!   every value is retained and quantiles are *exact* (nearest-rank over
-//!   the full population);
-//! - beyond the capacity it degrades to uniform reservoir sampling driven
-//!   by a deterministic SplitMix64 stream, so quantiles become unbiased
-//!   estimates, memory stays bounded, and two recorders fed the same
-//!   sequence agree bit-for-bit.
-//!
-//! Count, sum, minimum and maximum are tracked over the *full* population
-//! either way, so throughput/mean/extreme reporting never degrades.
+//! factor of two — far too coarse to back a p99 latency claim. A caller
+//! that needs quantiles keeps the raw values and asks [`nearest_rank`]
+//! for them: exact nearest-rank quantiles over the full population.
 
-/// Bounded quantile recorder (see the module docs).
-#[derive(Debug, Clone)]
-pub struct QuantileRecorder {
-    capacity: usize,
-    recorded: u64,
-    sum: u128,
-    min: u64,
-    max: u64,
-    samples: Vec<u64>,
-    rng_state: u64,
-}
-
-/// SplitMix64 step — the standard 64-bit mixer; deterministic and
-/// dependency-free, which is all the reservoir needs. It repeats
-/// `rdo_tensor::rng::splitmix64` because `rdo-tensor` depends on this
-/// crate, not the other way round.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-impl QuantileRecorder {
-    /// A recorder retaining at most `capacity` raw samples (clamped to at
-    /// least 1), with the default reservoir seed.
-    pub fn new(capacity: usize) -> Self {
-        Self::with_seed(capacity, 0)
+/// The nearest-rank quantiles of `values`, one per entry of `qs` (each
+/// clamped to `[0, 1]`; `0.5` = median, `1.0` = maximum): the smallest
+/// value whose cumulative frequency reaches `q`, i.e. rank `⌈q·n⌉`
+/// clamped to `[1, n]`. One sort serves every rank. Empty when `values`
+/// is.
+pub fn nearest_rank(values: &[u64], qs: &[f64]) -> Vec<u64> {
+    if values.is_empty() {
+        return Vec::new();
     }
-
-    /// [`new`](Self::new) with an explicit reservoir seed — two recorders
-    /// with the same seed fed the same sequence retain identical samples.
-    pub fn with_seed(capacity: usize, seed: u64) -> Self {
-        let capacity = capacity.max(1);
-        QuantileRecorder {
-            capacity,
-            recorded: 0,
-            sum: 0,
-            min: 0,
-            max: 0,
-            samples: Vec::new(),
-            rng_state: seed,
-        }
-    }
-
-    /// Records one value.
-    pub fn record(&mut self, value: u64) {
-        if self.recorded == 0 {
-            self.min = value;
-            self.max = value;
-        } else {
-            self.min = self.min.min(value);
-            self.max = self.max.max(value);
-        }
-        self.recorded += 1;
-        self.sum += u128::from(value);
-        if self.samples.len() < self.capacity {
-            self.samples.push(value);
-        } else {
-            // Algorithm R: replace a uniformly random retained sample with
-            // probability capacity / recorded.
-            let j = splitmix64(&mut self.rng_state) % self.recorded;
-            if let Some(slot) = self.samples.get_mut(j as usize) {
-                *slot = value;
-            }
-        }
-    }
-
-    /// The nearest-rank `q`-quantile of the retained samples (`q` clamped
-    /// to `[0, 1]`; `0.5` = median, `1.0` = maximum). Exact while
-    /// [`is_exact`](Self::is_exact) holds, a reservoir estimate after.
-    /// `None` before the first [`record`](Self::record).
-    pub fn quantile(&self, q: f64) -> Option<u64> {
-        self.quantiles(&[q]).pop()
-    }
-
-    /// [`quantile`](Self::quantile) for several ranks with one sort.
-    pub fn quantiles(&self, qs: &[f64]) -> Vec<u64> {
-        if self.samples.is_empty() {
-            return Vec::new();
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_unstable();
-        let n = sorted.len();
-        qs.iter()
-            .map(|q| {
-                let q = q.clamp(0.0, 1.0);
-                // nearest-rank: smallest value with cumulative frequency >= q
-                let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
-                sorted[rank - 1]
-            })
-            .collect()
-    }
-
-    /// Number of values recorded (the full population).
-    pub fn count(&self) -> u64 {
-        self.recorded
-    }
-
-    /// Number of raw samples currently retained (`<=` capacity).
-    pub fn retained(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether quantiles are still exact (no value has been dropped).
-    pub fn is_exact(&self) -> bool {
-        self.recorded <= self.capacity as u64
-    }
-
-    /// Exact minimum over the full population (`None` when empty).
-    pub fn min(&self) -> Option<u64> {
-        (self.recorded > 0).then_some(self.min)
-    }
-
-    /// Exact maximum over the full population (`None` when empty).
-    pub fn max(&self) -> Option<u64> {
-        (self.recorded > 0).then_some(self.max)
-    }
-
-    /// Exact arithmetic mean over the full population (`None` when empty).
-    pub fn mean(&self) -> Option<f64> {
-        (self.recorded > 0).then(|| self.sum as f64 / self.recorded as f64)
-    }
+    let mut sorted = values.to_vec();
+    sorted.sort_unstable();
+    let n = sorted.len();
+    qs.iter()
+        .map(|q| {
+            let rank = ((q.clamp(0.0, 1.0) * n as f64).ceil() as usize).clamp(1, n);
+            sorted[rank - 1]
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -149,94 +32,29 @@ mod tests {
 
     #[test]
     fn empty_recorder_has_no_quantiles() {
-        let r = QuantileRecorder::new(16);
-        assert_eq!(r.quantile(0.5), None);
-        assert_eq!(r.count(), 0);
-        assert_eq!(r.min(), None);
-        assert_eq!(r.max(), None);
-        assert_eq!(r.mean(), None);
-        assert!(r.is_exact());
+        assert!(nearest_rank(&[], &[0.5, 1.0]).is_empty());
     }
 
     #[test]
     fn exact_nearest_rank_below_capacity() {
-        let mut r = QuantileRecorder::new(100);
         // 1..=10 shuffled: nearest-rank quantiles have closed forms
-        for v in [7u64, 2, 9, 4, 1, 10, 3, 8, 5, 6] {
-            r.record(v);
-        }
-        assert!(r.is_exact());
-        assert_eq!(r.retained(), 10);
-        assert_eq!(r.quantile(0.0), Some(1), "q=0 is the minimum");
-        assert_eq!(r.quantile(0.5), Some(5), "nearest-rank median of 1..=10");
-        assert_eq!(r.quantile(0.9), Some(9));
-        assert_eq!(r.quantile(0.99), Some(10));
-        assert_eq!(r.quantile(1.0), Some(10));
-        assert_eq!(r.min(), Some(1));
-        assert_eq!(r.max(), Some(10));
-        assert_eq!(r.mean(), Some(5.5));
+        let values = [7u64, 2, 9, 4, 1, 10, 3, 8, 5, 6];
+        let q = |q| nearest_rank(&values, &[q])[0];
+        assert_eq!(q(0.0), 1, "q=0 is the minimum");
+        assert_eq!(q(0.5), 5, "nearest-rank median of 1..=10");
+        assert_eq!(q(0.9), 9);
+        assert_eq!(q(0.99), 10);
+        assert_eq!(q(1.0), 10);
+        assert_eq!(q(-1.0), 1, "q clamps to [0, 1]");
+        assert_eq!(q(2.0), 10);
     }
 
     #[test]
     fn quantiles_batch_agrees_with_single_calls() {
-        let mut r = QuantileRecorder::new(64);
-        for v in 0..50u64 {
-            r.record(v * 3);
-        }
-        let batch = r.quantiles(&[0.5, 0.99, 1.0]);
-        assert_eq!(batch[0], r.quantile(0.5).unwrap());
-        assert_eq!(batch[1], r.quantile(0.99).unwrap());
-        assert_eq!(batch[2], r.quantile(1.0).unwrap());
-    }
-
-    #[test]
-    fn capacity_bounds_memory_and_extremes_stay_exact() {
-        let mut r = QuantileRecorder::new(32);
-        for v in 0..10_000u64 {
-            r.record(v);
-        }
-        assert_eq!(r.count(), 10_000);
-        assert_eq!(r.retained(), 32, "reservoir never exceeds capacity");
-        assert!(!r.is_exact());
-        // population stats never degrade
-        assert_eq!(r.min(), Some(0));
-        assert_eq!(r.max(), Some(9_999));
-        assert_eq!(r.mean(), Some(4_999.5));
-        // the estimate stays inside the population range
-        let p50 = r.quantile(0.5).unwrap();
-        assert!(p50 <= 9_999);
-    }
-
-    #[test]
-    fn reservoir_is_deterministic_for_a_fixed_seed() {
-        let feed = |seed| {
-            let mut r = QuantileRecorder::with_seed(16, seed);
-            for v in 0..5_000u64 {
-                r.record(v.wrapping_mul(2_654_435_761) % 1_000);
-            }
-            r.quantiles(&[0.5, 0.9, 0.99])
-        };
-        assert_eq!(feed(7), feed(7), "same seed, same sequence, same estimate");
-    }
-
-    #[test]
-    fn reservoir_estimate_tracks_a_uniform_population() {
-        // 100k uniform values into a 512-slot reservoir: the median
-        // estimate must land well inside the central band.
-        let mut r = QuantileRecorder::new(512);
-        let mut state = 123u64;
-        for _ in 0..100_000 {
-            r.record(splitmix64(&mut state) % 10_000);
-        }
-        let p50 = r.quantile(0.5).unwrap();
-        assert!((3_500..=6_500).contains(&p50), "median estimate {p50} implausible");
-    }
-
-    #[test]
-    fn zero_capacity_clamps_to_one() {
-        let mut r = QuantileRecorder::new(0);
-        r.record(42);
-        assert_eq!(r.quantile(0.5), Some(42));
-        assert_eq!(r.retained(), 1);
+        let values: Vec<u64> = (0..50u64).map(|v| v * 3).collect();
+        let qs = [0.5, 0.99, 1.0];
+        let batch = nearest_rank(&values, &qs);
+        let single: Vec<u64> = qs.iter().map(|&q| nearest_rank(&values, &[q])[0]).collect();
+        assert_eq!(batch, single);
     }
 }

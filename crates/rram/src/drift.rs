@@ -15,6 +15,12 @@ use crate::error::{Result, RramError};
 
 /// Power-law conductance drift with per-device exponents
 /// `ν ~ N(nu_mean, nu_sigma²)` clamped at 0 (conductance never grows).
+///
+/// The model holds the distribution only, not the exponents:
+/// [`DriftModel::sample_exponents`] draws a matrix of them and
+/// [`DriftModel::age`] applies one. A caller that draws anew for each
+/// ageing step, as `rdo-core`'s `MappedNetwork::age_devices` does, gives
+/// every device a different `ν` in each step.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftModel {
     nu_mean: f64,

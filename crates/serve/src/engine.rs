@@ -7,7 +7,8 @@
 //! batch ([`recv_many`](crate::sync::Receiver::recv_many) with the
 //! configured max batch size and linger deadline), runs **one**
 //! whole-batch forward through its private `SnapshotEvaluator`, and
-//! routes the per-request logits back over oneshot channels.
+//! routes the per-request logits back, each over the request's own
+//! `std::sync::mpsc` reply channel.
 //!
 //! The request lifecycle is instrumented through [`rdo_obs`]:
 //! `serve.enqueue` counts submissions, `serve.queue.depth_hwm` tracks the
@@ -16,12 +17,12 @@
 //! `serve.forward` span, and `serve.batch_size` is a histogram of
 //! coalesced batch sizes.
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use crate::snapshot::{ModelSnapshot, SnapshotCell};
-use crate::sync::{channel, oneshot, OneshotReceiver, OneshotSender, Sender};
+use crate::sync::{channel, Sender};
 use crate::{Result, ServeError};
 
 /// Engine tuning knobs.
@@ -102,7 +103,7 @@ impl ServeConfigBuilder {
 
 struct Request {
     input: Vec<f32>,
-    reply: OneshotSender<Result<Response>>,
+    reply: mpsc::Sender<Result<Response>>,
 }
 
 /// One served response.
@@ -124,11 +125,13 @@ pub struct Response {
 
 /// A submitted request's future response.
 pub struct PendingResponse {
-    rx: OneshotReceiver<Result<Response>>,
+    rx: mpsc::Receiver<Result<Response>>,
 }
 
 impl PendingResponse {
-    /// Blocks until the response is routed back.
+    /// Blocks until the response is routed back, or returns
+    /// [`ServeError::Closed`] if the request was dropped unanswered (a
+    /// worker died mid-batch).
     pub fn wait(self) -> Result<Response> {
         self.rx.recv().unwrap_or(Err(ServeError::Closed))
     }
@@ -161,7 +164,7 @@ impl InferClient {
                 input.len()
             )));
         }
-        let (reply, rx) = oneshot();
+        let (reply, rx) = mpsc::channel();
         match self.tx.send(Request { input, reply }) {
             Ok(depth) => {
                 rdo_obs::counter_add("serve.enqueue", 1);
@@ -200,7 +203,6 @@ pub struct ServeEngine {
     tx: Sender<Request>,
     workers: Vec<JoinHandle<ServeStats>>,
     cell: Arc<SnapshotCell>,
-    config: ServeConfig,
 }
 
 impl ServeEngine {
@@ -258,7 +260,9 @@ impl ServeEngine {
                                 let batch_size = batch.len();
                                 let generation = current.generation();
                                 for (req, output) in batch.into_iter().zip(outputs) {
-                                    req.reply.send(Ok(Response {
+                                    // a client that dropped its pending
+                                    // response no longer wants the reply
+                                    let _ = req.reply.send(Ok(Response {
                                         output,
                                         done_at,
                                         batch_size,
@@ -269,7 +273,7 @@ impl ServeEngine {
                             Err(e) => {
                                 let msg = e.to_string();
                                 for req in batch {
-                                    req.reply.send(Err(ServeError::Worker(msg.clone())));
+                                    let _ = req.reply.send(Err(ServeError::Worker(msg.clone())));
                                 }
                             }
                         }
@@ -277,30 +281,12 @@ impl ServeEngine {
                 })
             })
             .collect();
-        ServeEngine { tx, workers, cell, config }
+        ServeEngine { tx, workers, cell }
     }
 
     /// A submission handle (any number may exist, on any thread).
     pub fn client(&self) -> InferClient {
         InferClient { tx: self.tx.clone(), sample_len: self.cell.get().sample_len() }
-    }
-
-    /// The snapshot the engine currently serves (post-swap, the newest
-    /// published one; a worker mid-batch may still be finishing on its
-    /// predecessor).
-    pub fn snapshot(&self) -> Arc<ModelSnapshot> {
-        self.cell.get()
-    }
-
-    /// The hot-swap slot the workers watch; [`SnapshotCell::swap`] through
-    /// this handle publishes a new snapshot under live traffic.
-    pub fn cell(&self) -> &Arc<SnapshotCell> {
-        &self.cell
-    }
-
-    /// The configuration the engine was started with.
-    pub fn config(&self) -> &ServeConfig {
-        &self.config
     }
 
     /// Closes the queue, lets the workers drain every queued request, and
@@ -449,6 +435,17 @@ mod tests {
         let client = engine.client();
         engine.shutdown();
         assert!(matches!(client.submit(sample(0)), Err(ServeError::Closed)));
+    }
+
+    #[test]
+    fn reply_dropped_unsent_reports_closed() {
+        // a bare queue with no worker, so the test plays the worker's part
+        let (tx, queue) = channel(4);
+        let client = InferClient { tx, sample_len: 8 };
+        let pending = client.submit(sample(0)).unwrap();
+        // the worker takes the request and dies before answering it
+        drop(queue.recv_many(1, Duration::ZERO));
+        assert!(matches!(pending.wait(), Err(ServeError::Closed)));
     }
 
     #[test]

@@ -15,17 +15,19 @@
 //!   queue ([`sync`]), coalescing pending requests into dynamic batches
 //!   (up to [`ServeConfig::max_batch`] or a [`ServeConfig::linger`]
 //!   deadline) and forwarding each batch as **one** whole-batch GEMM;
-//!   responses route back per-request over oneshot channels.
+//!   each response routes back over its request's own `std::sync::mpsc`
+//!   channel.
 //! - [`loadgen`] replays deterministic synthetic traffic ([`traffic`])
-//!   for saturation-throughput and open-loop latency measurements with
-//!   exact quantiles ([`rdo_obs::QuantileRecorder`]).
+//!   for saturation-throughput and open-loop latency measurements,
+//!   keeping every raw latency for exact quantiles
+//!   ([`rdo_obs::nearest_rank`]).
 //! - [`LifetimeEngine`] ([`lifetime`]) ages the programmed devices under
 //!   live traffic and re-tunes or selectively re-programs them when a
 //!   degradation threshold trips, publishing each repaired model as a
 //!   new snapshot generation.
 //!
-//! Everything is std-only (threads, `Mutex`, `Condvar`) — the workspace
-//! carries no async runtime and no external concurrency crates.
+//! Everything is std-only (threads, `Mutex`, `Condvar`, `mpsc`) — the
+//! workspace carries no async runtime and no external concurrency crates.
 //!
 //! # The coalescing contract
 //!

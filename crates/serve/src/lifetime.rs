@@ -351,11 +351,6 @@ impl LifetimeEngine {
         &self.cell
     }
 
-    /// The underlying serving engine.
-    pub fn engine(&self) -> &ServeEngine {
-        &self.engine
-    }
-
     /// Waits for the maintenance thread to complete its steps, then shuts
     /// the serving engine down (draining every queued request) and
     /// returns the lifetime report together with the folded serving

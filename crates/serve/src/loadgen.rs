@@ -11,8 +11,8 @@
 //! - [`run_open_loop`] — replays a seeded Poisson arrival schedule at a
 //!   target QPS and records per-request latency *against the schedule*
 //!   (so queueing delay from falling behind is charged, not silently
-//!   dropped — no coordinated omission) into an exact
-//!   [`QuantileRecorder`].
+//!   dropped — no coordinated omission), keeping every raw latency so
+//!   [`rdo_obs::nearest_rank`] gives exact quantiles.
 //! - [`serial_reference`] — evaluates the same payloads one request at a
 //!   time through the public single-request path; [`bitwise_equal`]
 //!   pins the service's coalescing invariance against it.
@@ -21,8 +21,6 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
-
-use rdo_obs::QuantileRecorder;
 
 use crate::engine::{ServeConfig, ServeEngine, ServeStats};
 use crate::snapshot::ModelSnapshot;
@@ -90,8 +88,8 @@ pub struct OpenLoopReport {
     /// Completions per second of schedule span actually achieved.
     pub achieved_rps: f64,
     /// Per-request latency (scheduled arrival → response routed),
-    /// nanoseconds. Sized to the request count, so quantiles are exact.
-    pub latency: QuantileRecorder,
+    /// nanoseconds, in completion order.
+    pub latency_ns: Vec<u64>,
     /// Folded engine statistics.
     pub stats: ServeStats,
 }
@@ -128,22 +126,21 @@ pub fn run_open_loop(
         }
         Ok(())
     });
-    let mut latency = QuantileRecorder::new(requests.max(1));
+    let mut latency_ns = Vec::with_capacity(requests);
     let mut last_done = start;
-    let mut completed = 0usize;
     for (offset, pending) in rx {
         let response = pending.wait()?;
         let scheduled = start + offset;
         let ns = response.done_at.checked_duration_since(scheduled).unwrap_or_default();
-        latency.record(ns.as_nanos().min(u128::from(u64::MAX)) as u64);
+        latency_ns.push(ns.as_nanos().min(u128::from(u64::MAX)) as u64);
         last_done = last_done.max(response.done_at);
-        completed += 1;
     }
     submitter.join().expect("submitter must not panic")?;
     let stats = engine.shutdown();
     let span = last_done.duration_since(start).as_secs_f64();
+    let completed = latency_ns.len();
     let achieved_rps = if span > 0.0 { completed as f64 / span } else { 0.0 };
-    Ok(OpenLoopReport { requests: completed, target_qps: qps, achieved_rps, latency, stats })
+    Ok(OpenLoopReport { requests: completed, target_qps: qps, achieved_rps, latency_ns, stats })
 }
 
 /// Evaluates the first `requests` payloads one at a time through the
@@ -219,11 +216,9 @@ mod tests {
         )
         .unwrap();
         assert_eq!(report.requests, n);
-        assert_eq!(report.latency.count(), n as u64);
-        assert!(report.latency.is_exact(), "latency quantiles must be exact");
-        let p50 = report.latency.quantile(0.5).unwrap();
-        let p99 = report.latency.quantile(0.99).unwrap();
-        assert!(p50 <= p99);
+        assert_eq!(report.latency_ns.len(), n);
+        let qs = rdo_obs::nearest_rank(&report.latency_ns, &[0.5, 0.99]);
+        assert!(qs[0] <= qs[1]);
         assert!(report.achieved_rps > 0.0);
     }
 

@@ -1,9 +1,9 @@
-//! Std-only synchronization primitives for the serving engine: a bounded
-//! MPMC queue with a batch-draining receive, and a oneshot response
-//! channel.
+//! The serving engine's request queue: a bounded MPMC channel with a
+//! batch-draining receive.
 //!
 //! The workspace deliberately carries no external concurrency crates;
-//! everything here is `Mutex` + `Condvar`. The queue is the engine's
+//! the queue is `Mutex` + `Condvar`, because `std::sync::mpsc` has no
+//! bounded multi-consumer receive that drains a batch. It is the engine's
 //! request spine: any number of client threads [`send`](Sender::send)
 //! into it, any number of workers drain it in coalesced batches via
 //! [`recv_many`](Receiver::recv_many) — the primitive the dynamic
@@ -91,36 +91,9 @@ impl<T> Sender<T> {
         self.shared.not_empty.notify_all();
         self.shared.not_full.notify_all();
     }
-
-    /// Current queue depth (racy by nature; for gauges only).
-    pub fn len(&self) -> usize {
-        self.shared.state.lock().unwrap_or_else(|p| p.into_inner()).queue.len()
-    }
-
-    /// Whether the queue is currently empty (racy; for gauges only).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 impl<T> Receiver<T> {
-    /// Dequeues one item, blocking until one arrives. `None` once the
-    /// channel is closed *and* drained.
-    pub fn recv(&self) -> Option<T> {
-        let mut state = self.shared.state.lock().unwrap_or_else(|p| p.into_inner());
-        loop {
-            if let Some(item) = state.queue.pop_front() {
-                drop(state);
-                self.shared.not_full.notify_one();
-                return Some(item);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self.shared.not_empty.wait(state).unwrap_or_else(|p| p.into_inner());
-        }
-    }
-
     /// Drains a coalesced batch: blocks for the first item, then keeps
     /// collecting until `max` items are in hand or `linger` has elapsed
     /// since the first one — the dynamic-batching primitive. Returns an
@@ -172,83 +145,6 @@ impl<T> Receiver<T> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// oneshot
-// ---------------------------------------------------------------------------
-
-enum OneshotState<T> {
-    Empty,
-    Value(T),
-    /// The sender was dropped without sending.
-    Disconnected,
-}
-
-struct OneshotShared<T> {
-    state: Mutex<OneshotState<T>>,
-    ready: Condvar,
-}
-
-/// Creates a single-value channel: the worker [`send`](OneshotSender::send)s
-/// one response, the requesting client [`recv`](OneshotReceiver::recv)s it.
-pub fn oneshot<T>() -> (OneshotSender<T>, OneshotReceiver<T>) {
-    let shared =
-        Arc::new(OneshotShared { state: Mutex::new(OneshotState::Empty), ready: Condvar::new() });
-    (OneshotSender { shared: Arc::clone(&shared), sent: false }, OneshotReceiver { shared })
-}
-
-/// Producing end of a [`oneshot`] channel; consumed by the one send.
-pub struct OneshotSender<T> {
-    shared: Arc<OneshotShared<T>>,
-    sent: bool,
-}
-
-/// Consuming end of a [`oneshot`] channel.
-pub struct OneshotReceiver<T> {
-    shared: Arc<OneshotShared<T>>,
-}
-
-impl<T> OneshotSender<T> {
-    /// Delivers the value and wakes the receiver.
-    pub fn send(mut self, value: T) {
-        let mut state = self.shared.state.lock().unwrap_or_else(|p| p.into_inner());
-        *state = OneshotState::Value(value);
-        self.sent = true;
-        drop(state);
-        self.shared.ready.notify_one();
-    }
-}
-
-impl<T> Drop for OneshotSender<T> {
-    fn drop(&mut self) {
-        if self.sent {
-            return;
-        }
-        let mut state = self.shared.state.lock().unwrap_or_else(|p| p.into_inner());
-        if matches!(*state, OneshotState::Empty) {
-            *state = OneshotState::Disconnected;
-        }
-        drop(state);
-        self.shared.ready.notify_one();
-    }
-}
-
-impl<T> OneshotReceiver<T> {
-    /// Blocks for the value; `None` if the sender was dropped without
-    /// sending (e.g. a worker died mid-batch).
-    pub fn recv(self) -> Option<T> {
-        let mut state = self.shared.state.lock().unwrap_or_else(|p| p.into_inner());
-        loop {
-            match std::mem::replace(&mut *state, OneshotState::Empty) {
-                OneshotState::Value(v) => return Some(v),
-                OneshotState::Disconnected => return None,
-                OneshotState::Empty => {
-                    state = self.shared.ready.wait(state).unwrap_or_else(|p| p.into_inner());
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,8 +155,8 @@ mod tests {
         let (tx, rx) = channel(8);
         assert_eq!(tx.send(1), Ok(1));
         assert_eq!(tx.send(2), Ok(2));
-        assert_eq!(rx.recv(), Some(1));
-        assert_eq!(rx.recv(), Some(2));
+        assert_eq!(rx.recv_many(1, Duration::ZERO), [1]);
+        assert_eq!(rx.recv_many(1, Duration::ZERO), [2]);
     }
 
     #[test]
@@ -269,8 +165,7 @@ mod tests {
         tx.send(7).unwrap();
         tx.close();
         assert!(tx.send(8).is_err(), "send after close must fail");
-        assert_eq!(rx.recv(), Some(7), "queued items survive closure");
-        assert_eq!(rx.recv(), None);
+        assert_eq!(rx.recv_many(4, Duration::from_secs(10)), [7], "queued items survive closure");
         assert!(rx.recv_many(4, Duration::from_millis(1)).is_empty());
     }
 
@@ -280,9 +175,9 @@ mod tests {
         tx.send(1).unwrap();
         let t = thread::spawn(move || tx.send(2));
         // the blocked sender completes once we drain one slot
-        assert_eq!(rx.recv(), Some(1));
+        assert_eq!(rx.recv_many(1, Duration::ZERO), [1]);
         assert_eq!(t.join().unwrap(), Ok(1));
-        assert_eq!(rx.recv(), Some(2));
+        assert_eq!(rx.recv_many(1, Duration::ZERO), [2]);
     }
 
     #[test]
@@ -352,27 +247,5 @@ mod tests {
         }
         all.sort_unstable();
         assert_eq!(all, (0..n).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn oneshot_delivers_and_reports_disconnect() {
-        let (tx, rx) = oneshot();
-        tx.send(42);
-        assert_eq!(rx.recv(), Some(42));
-
-        let (tx, rx) = oneshot::<u32>();
-        drop(tx);
-        assert_eq!(rx.recv(), None, "dropped sender must not hang the receiver");
-    }
-
-    #[test]
-    fn oneshot_crosses_threads() {
-        let (tx, rx) = oneshot();
-        let t = thread::spawn(move || {
-            thread::sleep(Duration::from_millis(2));
-            tx.send("done");
-        });
-        assert_eq!(rx.recv(), Some("done"));
-        t.join().unwrap();
     }
 }

@@ -2,7 +2,7 @@
 //! construction.
 //!
 //! All stochastic parts of the reproduction (weight init, device variation,
-//! dataset synthesis, dropout) draw from an explicitly seeded [`Rng`], so
+//! dataset synthesis) draw from an explicitly seeded [`Rng`], so
 //! every experiment is bit-reproducible from its seed. The generator is
 //! xoshiro256++ (Blackman and Vigna) seeded through SplitMix64; floats
 //! take the top mantissa-width bits of one draw, bounded integers use
@@ -86,12 +86,6 @@ impl Rng {
         // 1 − u1 lies in (0, 1], so the logarithm is finite
         let z = (-2.0 * (1.0 - u1).ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
         mean + std * z
-    }
-
-    /// `true` with probability `p`, which the caller keeps in `[0, 1]`.
-    #[inline]
-    pub fn bernoulli(&mut self, p: f64) -> bool {
-        self.f64() < p
     }
 
     /// A value uniform in `[0, n)` for `n > 0` (Lemire 2019): one
@@ -250,7 +244,6 @@ mod tests {
             index: usize,
             ranged: u32,
             normal: u64,
-            coin: bool,
         }
         let golden = [
             Golden {
@@ -270,7 +263,6 @@ mod tests {
                 index: 1,
                 ranged: 0xbe85_4d92,
                 normal: 0x4002_3d75_085a_bede,
-                coin: true,
             },
             Golden {
                 seed: 42,
@@ -289,7 +281,6 @@ mod tests {
                 index: 2,
                 ranged: 0x3e57_0ef0,
                 normal: 0x4010_f14c_ca60_d40c,
-                coin: false,
             },
         ];
         for g in golden {
@@ -301,7 +292,6 @@ mod tests {
             assert_eq!(r.gen_range(0..=4usize), g.index, "seed {}", g.seed);
             assert_eq!(r.gen_range(-0.3..=0.3f32).to_bits(), g.ranged, "seed {}", g.seed);
             assert_eq!(r.normal(1.5, 2.0).to_bits(), g.normal, "seed {}", g.seed);
-            assert_eq!(r.bernoulli(0.3), g.coin, "seed {}", g.seed);
         }
     }
 
@@ -346,13 +336,6 @@ mod tests {
         assert!((var - 4.0).abs() < 0.06, "variance {var}");
         assert!(skew.abs() < 0.03, "skew {skew}");
         assert!((kurt - 3.0).abs() < 0.06, "kurtosis {kurt}");
-    }
-
-    #[test]
-    fn bernoulli_frequency_matches() {
-        let mut r = seeded_rng(4);
-        let heads = (0..N).filter(|_| r.bernoulli(0.3)).count() as f64 / N as f64;
-        assert!((heads - 0.3).abs() < 0.005, "frequency {heads}");
     }
 
     #[test]
